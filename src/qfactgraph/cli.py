@@ -13,7 +13,16 @@ from typing import IO
 
 from .dynkin import DynkinA
 from .errors import PolySyntaxError, QfgError
-from .families import Snake, SkewShape, is_prime_snake, is_snake, skew_to_poly, snake_to_poly, tournament_family
+from .families import (
+    Snake,
+    SkewShape,
+    is_prime_snake,
+    is_snake,
+    skew_nu_table,
+    skew_to_poly,
+    snake_to_poly,
+    tournament_family,
+)
 from .fgraph import (
     build_graph,
     canonical,
@@ -80,12 +89,71 @@ def _verdict_to_json(v: Verdict) -> dict:
     return out
 
 
+def _cmd_factorize(args, inp: IO[str], out: IO[str]) -> int:
+    poly = q_factorize(_read_poly(args, inp))
+    print(_dumps(poly_to_json(poly)) if args.json else poly_to_text(poly), file=out)
+    return 0
+
+
+def _cmd_graph(args, inp: IO[str], out: IO[str]) -> int:
+    graph = canonical(build_graph(_read_poly(args, inp)))
+    if args.dot:
+        out.write(graph_to_dot(graph, hasse=args.hasse))
+    else:
+        print(_dumps(graph_to_json_obj(graph)), file=out)
+    return 0
+
+
+def _cmd_check(args, inp: IO[str], out: IO[str]) -> int:
+    graph = canonical(build_graph(_read_poly(args, inp)))
+    report = validate(graph, args.level)
+    failures = [
+        {"kind": f.kind, "vertices": list(f.vertices), "message": f.message}
+        for f in report.failures
+    ]
+    print(_dumps({"level": report.level, "ok": report.ok, "failures": failures}), file=out)
+    return 0 if report.ok else 1
+
+
+def _cmd_verdict(args, inp: IO[str], out: IO[str]) -> int:
+    graph = canonical(build_graph(q_factorize(_read_poly(args, inp))))
+    verdict = classify(graph)
+    print(_dumps(_verdict_to_json(verdict)), file=out)
+    return _VERDICT_EXIT[verdict.outcome]
+
+
+def _cmd_dual(args, inp: IO[str], out: IO[str]) -> int:
+    poly = _read_poly(args, inp)
+    transform = {
+        "negate": dual_negate,
+        "sigma": dual_sigma,
+        "star": dual_star,
+        "kappa": dual_kappa,
+        "shift": lambda p: shift(p, args.by),
+    }[args.kind]
+    poly = transform(poly)
+    print(_dumps(poly_to_json(poly)) if args.json else poly_to_text(poly), file=out)
+    return 0
+
+
+def _cmd_rset(args, inp: IO[str], out: IO[str]) -> int:
+    d = DynkinA(args.rank)
+    if args.interval is not None:
+        lo, hi = args.interval
+        rs = rset_restricted(d, args.i, args.j, args.r, args.s, range(lo, hi + 1))
+    else:
+        rs = rset(d, args.i, args.j, args.r, args.s)
+    print(_dumps(list(rs.members)), file=out)
+    return 0
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="qfactgraph", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def poly_command(name: str, help_text: str) -> argparse.ArgumentParser:
+    def poly_command(name: str, help_text: str, handler) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
         p.add_argument("--rank", type=int, required=True, metavar="N")
         p.add_argument(
             "poly",
@@ -94,25 +162,26 @@ def build_parser() -> _Parser:
         )
         return p
 
-    p = poly_command("factorize", "print the canonical factorization")
+    p = poly_command("factorize", "print the canonical factorization", _cmd_factorize)
     p.add_argument("--json", action="store_true")
 
-    p = poly_command("graph", "print the graph of the given factors")
+    p = poly_command("graph", "print the graph of the given factors", _cmd_graph)
     p.add_argument("--json", action="store_true", help="JSON output (default)")
     p.add_argument("--dot", action="store_true", help="DOT output")
     p.add_argument("--hasse", action="store_true", help="draw the transitive reduction")
 
-    p = poly_command("check", "validate the graph of the given factors")
+    p = poly_command("check", "validate the graph of the given factors", _cmd_check)
     p.add_argument("--level", choices=("prefact", "pseudo", "qfact"), default="qfact")
 
-    poly_command("verdict", "canonicalize, build the graph, decide primality")
+    poly_command("verdict", "canonicalize, build the graph, decide primality", _cmd_verdict)
 
-    p = poly_command("dual", "apply a duality transform to the polynomial")
+    p = poly_command("dual", "apply a duality transform to the polynomial", _cmd_dual)
     p.add_argument("--kind", choices=("negate", "sigma", "star", "kappa", "shift"), required=True)
     p.add_argument("--by", type=int, default=0, help="shift amount (kind=shift)")
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("rset", help="print a reducibility set")
+    p.set_defaults(handler=_cmd_rset)
     p.add_argument("i", type=int)
     p.add_argument("j", type=int)
     p.add_argument("r", type=int)
@@ -121,6 +190,7 @@ def build_parser() -> _Parser:
     p.add_argument("--interval", type=int, nargs=2, metavar=("LO", "HI"))
 
     fam = sub.add_parser("family", help="generate an example family")
+    fam.set_defaults(handler=_cmd_family)
     fam_sub = fam.add_subparsers(dest="family", required=True)
 
     p = fam_sub.add_parser("tournament")
@@ -176,7 +246,7 @@ def _family_payload(poly: DrinfeldPoly, extra: dict) -> dict:
     return payload
 
 
-def _cmd_family(args, out: IO[str]) -> int:
+def _cmd_family(args, inp: IO[str], out: IO[str]) -> int:
     if args.family == "tournament":
         poly = tournament_family(args.N, args.n)
         extra = {}
@@ -191,8 +261,6 @@ def _cmd_family(args, out: IO[str]) -> int:
             _parse_int_list(args.mu, "mu"),
         )
         poly, table = skew_to_poly(shape)
-        from .families import skew_nu_table
-
         extra = {
             "nu": [list(row) for row in skew_nu_table(shape)],
             "table": [[list(cell) for cell in row] for row in table],
@@ -214,67 +282,7 @@ def run(argv: list[str], stdout: IO[str] | None = None, stdin: IO[str] | None = 
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        if args.verb == "factorize":
-            poly = q_factorize(_read_poly(args, inp))
-            print(_dumps(poly_to_json(poly)) if args.json else poly_to_text(poly), file=out)
-            return 0
-        if args.verb == "graph":
-            graph = canonical(build_graph(_read_poly(args, inp)))
-            if args.dot:
-                out.write(graph_to_dot(graph, hasse=args.hasse))
-            else:
-                print(_dumps(graph_to_json_obj(graph)), file=out)
-            return 0
-        if args.verb == "check":
-            graph = canonical(build_graph(_read_poly(args, inp)))
-            report = validate(graph, args.level)
-            print(
-                _dumps(
-                    {
-                        "level": report.level,
-                        "ok": report.ok,
-                        "failures": [
-                            {
-                                "kind": f.kind,
-                                "vertices": list(f.vertices),
-                                "message": f.message,
-                            }
-                            for f in report.failures
-                        ],
-                    }
-                ),
-                file=out,
-            )
-            return 0 if report.ok else 1
-        if args.verb == "verdict":
-            graph = canonical(build_graph(q_factorize(_read_poly(args, inp))))
-            verdict = classify(graph)
-            print(_dumps(_verdict_to_json(verdict)), file=out)
-            return _VERDICT_EXIT[verdict.outcome]
-        if args.verb == "dual":
-            poly = _read_poly(args, inp)
-            transform = {
-                "negate": dual_negate,
-                "sigma": dual_sigma,
-                "star": dual_star,
-                "kappa": dual_kappa,
-                "shift": lambda p: shift(p, args.by),
-            }[args.kind]
-            poly = transform(poly)
-            print(_dumps(poly_to_json(poly)) if args.json else poly_to_text(poly), file=out)
-            return 0
-        if args.verb == "rset":
-            d = DynkinA(args.rank)
-            if args.interval is not None:
-                lo, hi = args.interval
-                rs = rset_restricted(d, args.i, args.j, args.r, args.s, range(lo, hi + 1))
-            else:
-                rs = rset(d, args.i, args.j, args.r, args.s)
-            print(_dumps(list(rs.members)), file=out)
-            return 0
-        if args.verb == "family":
-            return _cmd_family(args, out)
-        raise AssertionError(f"unhandled verb {args.verb!r}")
+        return args.handler(args, inp, out)
     except (QfgError, ValueError) as e:
         print(f"qfactgraph: error: {e}", file=sys.stderr)
         return DATA_ERROR

@@ -1,7 +1,7 @@
 """Type A_n Dynkin diagram bookkeeping.
 
-The diagram is a path on nodes 1..n, so distances, intervals and the
-boundary all have closed forms.
+The diagram is a path on nodes 1..n, so distances, intervals, the
+boundary and the reducibility bounds all have closed forms.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ class DynkinA:
     n: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
+        if type(self.n) is not int or self.n < 1:
             raise ValueError(f"rank must be a positive integer, got {self.n!r}")
 
     @property
@@ -32,7 +32,7 @@ class DynkinA:
         return frozenset({1, self.n})
 
     def check_node(self, i: int) -> int:
-        if not isinstance(i, int) or not 1 <= i <= self.n:
+        if type(i) is not int or not 1 <= i <= self.n:
             raise InvalidNode(f"node {i!r} is not in 1..{self.n}")
         return i
 
@@ -70,3 +70,19 @@ class DynkinA:
     def dual_coxeter(self) -> int:
         """Dual Coxeter number, n + 1 in type A_n."""
         return self.n + 1
+
+
+def reducibility_bounds(i: int, j: int, r: int, s: int, lo: int, hi: int) -> tuple[int, int]:
+    """Least and greatest member of the type A reducibility set of the KR
+    pair (i, r), (j, s) over the ambient interval [lo, hi], which must
+    contain [i, j]: the progression r + s + d(i, j) - 2p for
+    -d([i, j], {lo, hi}) <= p < min(r, s).  Arguments are not checked.
+    """
+    a, b = (i, j) if i <= j else (j, i)
+    return abs(r - s) + b - a + 2, r + s + b - a + 2 * min(a - lo, hi - b)
+
+
+def reducible(gap: int, i: int, j: int, r: int, s: int, lo: int, hi: int) -> bool:
+    """True iff gap lies in the reducibility set of reducibility_bounds."""
+    first, last = reducibility_bounds(i, j, r, s, lo, hi)
+    return first <= gap <= last and (gap - first) % 2 == 0

@@ -1,9 +1,9 @@
 """Decorated directed graphs built from pseudo factorizations.
 
-Vertices carry (color, center, weight, coset); arrows carry a positive
-exponent that must equal the center difference of their endpoints, so
-path compatibility of exponents is structural and the graph is acyclic
-by construction.
+Vertices are KR factors (color, center, weight = length, coset); arrows
+carry a positive exponent that must equal the center difference of their
+endpoints, so path compatibility of exponents is structural and the graph
+is acyclic by construction.
 """
 
 from __future__ import annotations
@@ -12,17 +12,17 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterator, Mapping, NamedTuple
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
-from .dynkin import DynkinA
+from .dynkin import DynkinA, reducible
 from .errors import (
     CyclicGraph,
     InvalidVertex,
     RankMismatch,
     TooManyVertices,
 )
-from .lweight import DrinfeldPoly, KRFactor, q_factorize
-from .redsets import kr_pair_relation, rset, rset_same_node
+from .lweight import DrinfeldPoly, KRFactor, interacting_pairs, q_factorize
+from .redsets import rset_same_node
 
 __all__ = [
     "Vertex",
@@ -60,12 +60,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
-class Vertex:
-    color: int
-    center: int
-    weight: int
-    coset: int = 0
+Vertex = KRFactor  # the graph-side name; a vertex's weight is its length
 
 
 class Arrow(NamedTuple):
@@ -77,7 +72,7 @@ class Arrow(NamedTuple):
 @dataclass(frozen=True)
 class FactGraph:
     rank: DynkinA
-    vertices: Mapping[int, Vertex]
+    vertices: Mapping[int, KRFactor]
     arrows: tuple[Arrow, ...] = ()
 
     def __post_init__(self) -> None:
@@ -91,7 +86,7 @@ class FactGraph:
     def ids(self) -> tuple[int, ...]:
         return tuple(sorted(self.vertices))
 
-    def vertex(self, v: int) -> Vertex:
+    def vertex(self, v: int) -> KRFactor:
         try:
             return self.vertices[v]
         except KeyError:
@@ -131,19 +126,28 @@ class Cut:
     crossing: tuple[Arrow, ...]
 
 
-def _graph_from_factors(rank: DynkinA, factors: tuple[KRFactor, ...]) -> FactGraph:
-    vertices = {
-        k: Vertex(f.color, f.center, f.length, f.coset) for k, f in enumerate(factors)
-    }
+def _forced_arrows(rank: DynkinA, items: Sequence[tuple[int, KRFactor]]) -> list[Arrow]:
+    """The arrow of every ordered pair of (id, factor) items, in id order,
+    whose tensor product is reducible and highest-weight-ordered: same
+    coset, positive center gap, gap in the pair's reducibility set.
+    Colors must already lie in the diagram."""
+    n = rank.n
     arrows = []
-    for a, fa in enumerate(factors):
-        for b, fb in enumerate(factors):
-            if a == b:
-                continue
-            rel = kr_pair_relation(rank, fa, fb)
-            if rel.kind == "ReducibleHLW":
-                arrows.append(Arrow(a, b, rel.exponent))
-    return FactGraph(rank, vertices, tuple(arrows))
+    for a, fa in items:
+        for b, fb in items:
+            delta = fa.center - fb.center
+            if (
+                delta > 0
+                and fa.coset == fb.coset
+                and reducible(delta, fa.color, fb.color, fa.length, fb.length, 1, n)
+            ):
+                arrows.append(Arrow(a, b, delta))
+    return arrows
+
+
+def _graph_from_factors(rank: DynkinA, factors: tuple[KRFactor, ...]) -> FactGraph:
+    items = tuple(enumerate(factors))
+    return FactGraph(rank, dict(items), tuple(_forced_arrows(rank, items)))
 
 
 def build_graph(p: DrinfeldPoly) -> FactGraph:
@@ -156,18 +160,7 @@ def build_graph(p: DrinfeldPoly) -> FactGraph:
 
 def to_polynomial(g: FactGraph) -> DrinfeldPoly:
     """Read the factor multiset off the vertices."""
-    return DrinfeldPoly(
-        g.rank,
-        tuple(
-            KRFactor(v.color, v.center, v.weight, v.coset)
-            for v in (g.vertices[i] for i in g.ids())
-        ),
-    )
-
-
-def _factor_of(g: FactGraph, v: int) -> KRFactor:
-    vert = g.vertex(v)
-    return KRFactor(vert.color, vert.center, vert.weight, vert.coset)
+    return DrinfeldPoly(g.rank, tuple(g.vertices.values()))
 
 
 @dataclass(frozen=True)
@@ -197,15 +190,18 @@ _LEVELS = ("prefact", "pseudo", "qfact")
 def validate(g: FactGraph, level: str = "qfact") -> ValidationReport:
     """Check graph invariants at the requested level.
 
-    prefact: structural invariants (positive exponents matching center
-    differences, one arrow per pair, coset-pure arrows).  pseudo: every
-    reducible highest-weight-ordered same-coset pair carries its forced
-    arrow, and every arrow exponent lies in the pair's reducibility set.
-    qfact: same-color, same-coset pairs stay out of the single-node
-    reducibility set.  Centers within one coset share an anchor, so
-    pairs are compared across components too; deleting a bridge arrow
-    cannot mask a violation.  Levels are cumulative; failures are
-    reported, never raised.
+    prefact: structural invariants (colors in the diagram, positive
+    exponents matching center differences, one arrow per pair,
+    coset-pure arrows).  pseudo: a diff against construction; every
+    arrow that build_graph forces on the graph's own vertices and ids
+    but the graph lacks is a missing-arrow, and every graph arrow that
+    construction does not give is an unjustified-arrow (its exponent
+    lies outside the pair's reducibility set).  qfact: no same-color,
+    same-coset pair interacts, by the predicate is_q_factorization
+    uses.  Centers within one coset share an anchor, so pairs are
+    compared across components too; deleting a bridge arrow cannot mask
+    a violation.  Levels are cumulative; failures are reported, never
+    raised.
     """
     if level not in _LEVELS:
         raise ValueError(f"level must be one of {_LEVELS}, got {level!r}")
@@ -213,13 +209,9 @@ def validate(g: FactGraph, level: str = "qfact") -> ValidationReport:
     n = g.rank.n
     for vid in g.ids():
         v = g.vertices[vid]
-        if not isinstance(v.color, int) or not 1 <= v.color <= n:
+        if not 1 <= v.color <= n:
             fails.append(
                 ValidationFailure("bad-color", (vid,), f"color {v.color!r} not in 1..{n}")
-            )
-        if not isinstance(v.weight, int) or v.weight < 1:
-            fails.append(
-                ValidationFailure("bad-weight", (vid,), f"weight {v.weight!r} < 1")
             )
     seen_pairs: set[frozenset[int]] = set()
     for a in g.arrows:
@@ -252,30 +244,22 @@ def validate(g: FactGraph, level: str = "qfact") -> ValidationReport:
     if fails or level == "prefact":
         return ValidationReport(level, tuple(fails))
 
+    # With the prefact invariants in place, an arrow is fixed by its pair,
+    # so comparing (tail, head, exp) triples is the pairwise check.
     ids = g.ids()
-    for u in ids:
-        vu = g.vertices[u]
-        for w in ids:
-            if u == w:
-                continue
-            vw = g.vertices[w]
-            if vu.coset != vw.coset:
-                continue
-            delta = vu.center - vw.center
-            if delta <= 0:
-                continue
-            if delta in rset(g.rank, vu.color, vw.color, vu.weight, vw.weight):
-                if (u, w) not in g.arrow_map:
-                    fails.append(
-                        ValidationFailure(
-                            "missing-arrow",
-                            (u, w),
-                            f"center gap {delta} forces an arrow from {u} to {w}",
-                        )
-                    )
+    forced = _forced_arrows(g.rank, [(v, g.vertices[v]) for v in ids])
+    for a in forced:
+        if (a.tail, a.head) not in g.arrow_map:
+            fails.append(
+                ValidationFailure(
+                    "missing-arrow",
+                    (a.tail, a.head),
+                    f"center gap {a.exp} forces an arrow from {a.tail} to {a.head}",
+                )
+            )
+    forced_set = set(forced)
     for a in g.arrows:
-        t, h = g.vertices[a.tail], g.vertices[a.head]
-        if a.exp not in rset(g.rank, t.color, h.color, t.weight, h.weight):
+        if a not in forced_set:
             fails.append(
                 ValidationFailure(
                     "unjustified-arrow",
@@ -286,23 +270,18 @@ def validate(g: FactGraph, level: str = "qfact") -> ValidationReport:
     if fails or level == "pseudo":
         return ValidationReport(level, tuple(fails))
 
-    for k, u in enumerate(ids):
-        vu = g.vertices[u]
-        for w in ids[k + 1 :]:
-            vw = g.vertices[w]
-            if vu.color != vw.color or vu.coset != vw.coset:
-                continue
-            gap = abs(vu.center - vw.center)
-            rs = rset_same_node(g.rank, vu.color, vu.weight, vw.weight)
-            if gap in rs:
-                fails.append(
-                    ValidationFailure(
-                        "qfact-violation",
-                        (u, w),
-                        f"|{vu.center - vw.center}| = {gap} lies in the same-color "
-                        f"reducibility set {list(rs.members)} for color {vu.color}",
-                    )
-                )
+    for k, l in interacting_pairs([g.vertices[v] for v in ids]):
+        u, w = ids[k], ids[l]
+        vu, vw = g.vertices[u], g.vertices[w]
+        rs = rset_same_node(g.rank, vu.color, vu.length, vw.length)
+        fails.append(
+            ValidationFailure(
+                "qfact-violation",
+                (u, w),
+                f"|{vu.center - vw.center}| = {abs(vu.center - vw.center)} lies in the "
+                f"same-color reducibility set {list(rs.members)} for color {vu.color}",
+            )
+        )
     return ValidationReport(level, tuple(fails))
 
 
@@ -528,11 +507,11 @@ def graph_tensor(g: FactGraph, h: FactGraph) -> TensorResult:
     """
     if g.rank != h.rank:
         raise RankMismatch(f"graphs over A_{g.rank.n} and A_{h.rank.n}")
-    fg = tuple(_factor_of(g, v) for v in g.ids())
-    fh = tuple(_factor_of(h, v) for v in h.ids())
+    fg = tuple(g.vertices[v] for v in g.ids())
+    fh = tuple(h.vertices[v] for v in h.ids())
+    product = DrinfeldPoly(g.rank, fg + fh)  # checks the colors
     combined = _graph_from_factors(g.rank, fg + fh)
     origin = ("left",) * len(fg) + ("right",) * len(fh)
-    product = DrinfeldPoly(g.rank, fg + fh)
     separate = Counter(q_factorize(to_polynomial(g)).factors) + Counter(
         q_factorize(to_polynomial(h)).factors
     )
@@ -543,29 +522,10 @@ def graph_tensor(g: FactGraph, h: FactGraph) -> TensorResult:
 def _normalized_component_form(g: FactGraph):
     forms = []
     for comp in connected_components(g):
-        base = min(v.center for v in comp.vertices.values())
-        order = sorted(
-            comp.ids(),
-            key=lambda v: (
-                comp.vertices[v].color,
-                comp.vertices[v].center - base,
-                comp.vertices[v].weight,
-                comp.vertices[v].coset,
-                v,
-            ),
-        )
-        remap = {old: new for new, old in enumerate(order)}
-        vdata = tuple(
-            (
-                comp.vertices[v].color,
-                comp.vertices[v].center - base,
-                comp.vertices[v].weight,
-                comp.vertices[v].coset,
-            )
-            for v in order
-        )
-        adata = tuple(sorted(Arrow(remap[a.tail], remap[a.head], a.exp) for a in comp.arrows))
-        forms.append((vdata, adata))
+        base = min(f.center for f in comp.vertices.values())
+        vertices = {v: replace(f, center=f.center - base) for v, f in comp.vertices.items()}
+        form = canonical(FactGraph(g.rank, vertices, comp.arrows))
+        forms.append((tuple(form.vertices.values()), form.arrows))
     return tuple(sorted(forms))
 
 
@@ -594,7 +554,7 @@ def graph_to_json_obj(g: FactGraph) -> dict:
                 "id": v,
                 "color": g.vertices[v].color,
                 "center": g.vertices[v].center,
-                "weight": g.vertices[v].weight,
+                "weight": g.vertices[v].length,
                 "coset": g.vertices[v].coset,
             }
             for v in g.ids()
@@ -611,7 +571,7 @@ def graph_to_dot(g: FactGraph, hasse: bool = False) -> str:
     lines = ["digraph qfactorization {", "  rankdir=LR;"]
     for v in g.ids():
         vert = g.vertices[v]
-        lines.append(f'  v{v} [label="{vert.weight}\\n{vert.color}"];')
+        lines.append(f'  v{v} [label="{vert.length}\\n{vert.color}"];')
     for a in transitive_reduction(g) if hasse else g.arrows:
         lines.append(f'  v{a.tail} -> v{a.head} [label="{a.exp}"];')
     lines.append("}")

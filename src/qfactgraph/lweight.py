@@ -11,9 +11,9 @@ import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
-from .dynkin import DynkinA
+from .dynkin import DynkinA, reducible
 from .errors import InternalInvariantViolation, NonPositiveLength, PolySyntaxError
 
 __all__ = [
@@ -38,7 +38,10 @@ __all__ = [
 
 @dataclass(frozen=True, order=True)
 class KRFactor:
-    """One KR string: color, center exponent, length, coset tag."""
+    """One KR string: color, center exponent, length, coset tag.
+
+    Graph vertices are KR factors too; their weight is the length.
+    """
 
     color: int
     center: int
@@ -46,8 +49,14 @@ class KRFactor:
     coset: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.length, int) or self.length < 1:
+        if not (type(self.color) is type(self.center) is type(self.coset) is int):
+            raise TypeError(f"color, center and coset must be ints, got {self!r}")
+        if type(self.length) is not int or self.length < 1:
             raise NonPositiveLength(f"string length must be >= 1, got {self.length!r}")
+
+    @property
+    def weight(self) -> int:
+        return self.length
 
 
 @dataclass(frozen=True)
@@ -78,22 +87,22 @@ def roots_of(f: KRFactor) -> tuple[int, ...]:
     return tuple(f.center - f.length + 1 + 2 * p for p in range(f.length))
 
 
-def _strings_interact(a: KRFactor, b: KRFactor) -> bool:
-    # Two same-color strings fail the q-factorization condition exactly when
-    # their center gap lies in {r + s - 2p : 0 <= p < min(r, s)}, i.e. the
-    # strings overlap without nesting or abut with a gap of one step.
-    gap = abs(a.center - b.center)
-    hi = a.length + b.length
-    lo = abs(a.length - b.length) + 2
-    return lo <= gap <= hi and (hi - gap) % 2 == 0
+def interacting_pairs(factors: Sequence[KRFactor]) -> Iterator[tuple[int, int]]:
+    """Index pairs k < l of same-color, same-coset factors whose strings
+    interact: their center gap lies in the single-node reducibility set
+    {r + s - 2p : 0 <= p < min(r, s)}, i.e. the strings overlap without
+    nesting or abut with a gap of one step."""
+    for (k, a), (l, b) in combinations(enumerate(factors), 2):
+        if a.color != b.color or a.coset != b.coset:
+            continue
+        i = a.color
+        if reducible(abs(a.center - b.center), i, i, a.length, b.length, i, i):
+            yield k, l
 
 
 def is_q_factorization(p: DrinfeldPoly) -> bool:
     """True iff no same-color, same-coset pair of factors interacts."""
-    for a, b in combinations(p.factors, 2):
-        if a.color == b.color and a.coset == b.coset and _strings_interact(a, b):
-            return False
-    return True
+    return next(interacting_pairs(p.factors), None) is None
 
 
 def _longest_run(pool: Counter) -> tuple[int, int]:
@@ -218,8 +227,19 @@ def poly_to_json(p: DrinfeldPoly) -> list[dict[str, int]]:
 
 
 def poly_from_json(data: Iterable[dict[str, int]], rank: DynkinA | int) -> DrinfeldPoly:
+    """Inverse of poly_to_json; a malformed item raises PolySyntaxError
+    whose position is the item's index."""
     diagram = rank if isinstance(rank, DynkinA) else DynkinA(rank)
-    factors = tuple(
-        KRFactor(d["color"], d["center"], d["length"], d.get("coset", 0)) for d in data
-    )
-    return DrinfeldPoly(diagram, factors)
+    factors = []
+    for k, item in enumerate(data):
+        values = (
+            [item.get(key) for key in ("color", "center", "length")] + [item.get("coset", 0)]
+            if isinstance(item, dict)
+            else [None]
+        )
+        if any(type(v) is not int for v in values):
+            raise PolySyntaxError(
+                f"factor {item!r} needs int color, center, length and optional coset", k
+            )
+        factors.append(KRFactor(*values))
+    return DrinfeldPoly(diagram, tuple(factors))

@@ -34,7 +34,7 @@ from .fgraph import (
     to_polynomial,
     validate,
 )
-from .lweight import DrinfeldPoly, KRFactor
+from .lweight import DrinfeldPoly
 from .redsets import kr_dual_pair_simple, rset, rset_restricted
 
 __all__ = [
@@ -95,11 +95,6 @@ class Verdict:
     certificate: str | None = None
     witness: tuple[DrinfeldPoly, ...] | None = None
     report: tuple[CutClass, ...] | None = None
-
-
-def _factor_of(g: FactGraph, v: int) -> KRFactor:
-    vert = g.vertices[v]
-    return KRFactor(vert.color, vert.center, vert.weight, vert.coset)
 
 
 def _check_cut(g: FactGraph, cut: Cut) -> None:
@@ -167,7 +162,7 @@ def _dual_cut_witness(g: FactGraph, cut: Cut) -> DualCutWitness | None:
                     if (x, y) != (vl, vr)
                 )
                 if all(
-                    kr_dual_pair_simple(d, _factor_of(g, x), _factor_of(g, y))
+                    kr_dual_pair_simple(d, g.vertices[x], g.vertices[y])
                     for x, y in pairs
                 ):
                     return DualCutWitness(cut, vl, vr, 1, pairs)
@@ -183,7 +178,7 @@ def _dual_cut_witness(g: FactGraph, cut: Cut) -> DualCutWitness | None:
                 # Mirrored condition: the left member is dualized, which is
                 # the same simplicity test with the arguments swapped.
                 if all(
-                    kr_dual_pair_simple(d, _factor_of(g, y), _factor_of(g, x))
+                    kr_dual_pair_simple(d, g.vertices[y], g.vertices[x])
                     for x, y in pairs
                 ):
                     return DualCutWitness(cut, vl, vr, 2, pairs)

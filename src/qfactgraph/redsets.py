@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .dynkin import DynkinA
+from .dynkin import DynkinA, reducibility_bounds, reducible
 from .errors import IntervalDoesNotContain, InvalidInterval, NonPositiveLength
 from .lweight import KRFactor
 
@@ -69,11 +69,9 @@ def _check_lengths(r: int, s: int) -> None:
 def rset(d: DynkinA, i: int, j: int, r: int, s: int) -> RSet:
     """Reducibility set for the KR pair (i, r), (j, s) over the full diagram."""
     _check_lengths(r, s)
-    dist = d.distance(i, j)
-    bd = d.boundary_distance(d.interval(i, j))
-    lo = r + s + dist - 2 * (min(r, s) - 1)
-    hi = r + s + dist + 2 * bd
-    return RSet(i, j, r, s, None, lo, hi)
+    d.check_node(i)
+    d.check_node(j)
+    return RSet(i, j, r, s, None, *reducibility_bounds(i, j, r, s, 1, d.n))
 
 
 def rset_restricted(
@@ -92,21 +90,18 @@ def rset_restricted(
         d.check_node(node)
     if js != list(range(js[0], js[-1] + 1)):
         raise InvalidInterval(f"{js} is not a connected interval")
-    dist = d.distance(i, j)
-    span = d.interval(i, j)
-    if not span <= set(js):
+    d.check_node(i)
+    d.check_node(j)
+    if not js[0] <= min(i, j) <= max(i, j) <= js[-1]:
         raise IntervalDoesNotContain(f"interval {js} does not contain [{i}, {j}]")
-    bd = min(min(span) - js[0], js[-1] - max(span))
-    lo = r + s + dist - 2 * (min(r, s) - 1)
-    hi = r + s + dist + 2 * bd
-    return RSet(i, j, r, s, (js[0], js[-1]), lo, hi)
+    return RSet(i, j, r, s, (js[0], js[-1]), *reducibility_bounds(i, j, r, s, js[0], js[-1]))
 
 
 def rset_same_node(d: DynkinA, i: int, r: int, s: int) -> RSet:
     """Single-node reducibility set {r + s - 2p : 0 <= p < min(r, s)}."""
     _check_lengths(r, s)
     d.check_node(i)
-    return RSet(i, i, r, s, (i, i), abs(r - s) + 2, r + s)
+    return RSet(i, i, r, s, (i, i), *reducibility_bounds(i, i, r, s, i, i))
 
 
 class PairRelation(NamedTuple):
@@ -128,8 +123,10 @@ def kr_pair_relation(d: DynkinA, f: KRFactor, g: KRFactor) -> PairRelation:
     """
     if f.coset != g.coset:
         return SIMPLE
+    d.check_node(f.color)
+    d.check_node(g.color)
     delta = f.center - g.center
-    if abs(delta) in rset(d, f.color, g.color, f.length, g.length):
+    if reducible(abs(delta), f.color, g.color, f.length, g.length, 1, d.n):
         kind = "ReducibleHLW" if delta > 0 else "ReducibleOpposite"
         return PairRelation(kind, delta)
     return SIMPLE

@@ -109,6 +109,12 @@ def test_verdict_exit_codes():
     }
 
 
+def test_verdict_dual_neighborhood():
+    code, text = invoke("verdict", "--rank", "3", "1:0:2 2:4:1 3:6:2")
+    assert code == 0
+    assert text == '{"certificate": "DualNeighborhood", "outcome": "Prime"}\n'
+
+
 def test_verdict_canonicalizes_first():
     # the raw pair is not a q-factorization; the verdict is for the product
     code, text = invoke("verdict", "--rank", "2", "1:0:1 1:2:1")

@@ -8,6 +8,7 @@ import pytest
 
 from qfactgraph import (
     DrinfeldPoly,
+    DynkinA,
     InvalidNode,
     KRFactor,
     NonPositiveLength,
@@ -156,6 +157,20 @@ def test_factor_validation():
         KRFactor(1, 0, 0)
     with pytest.raises(InvalidNode):
         P(A3, (4, 0, 1))
+    for bad in (True, False, 1.0, "1", None):
+        with pytest.raises(NonPositiveLength):
+            KRFactor(1, 0, bad)
+        for k in (0, 1, 3):
+            args = [1, 0, 1, 0]
+            args[k] = bad
+            with pytest.raises(TypeError):
+                KRFactor(*args)
+    for bad in (True, False, 2.0):
+        with pytest.raises(ValueError):
+            DynkinA(bad)
+    for bad in (True, False):
+        with pytest.raises(InvalidNode):
+            A3.check_node(bad)
 
 
 def test_parse_poly_examples():
@@ -200,6 +215,26 @@ def test_text_round_trip():
 def test_json_round_trip():
     poly = P(A5, (2, 3, 2), (4, -1, 1))
     assert poly_from_json(poly_to_json(poly), A5) == poly
+
+
+@pytest.mark.parametrize(
+    "item",
+    [
+        {"color": 1},
+        {"color": 1, "center": 0},
+        {"center": 0, "length": 1},
+        {"color": 1, "center": "0", "length": 1},
+        {"color": 1, "center": 0, "length": True},
+        {"color": 1, "center": 0, "length": 1, "coset": 0.0},
+        [1, 0, 1],
+        None,
+    ],
+)
+def test_json_malformed_item_reports_index(item):
+    good = {"color": 1, "center": 0, "length": 1}
+    with pytest.raises(PolySyntaxError) as err:
+        poly_from_json([good, item], 3)
+    assert err.value.position == 1
 
 
 def test_empty_polynomial_is_fine():

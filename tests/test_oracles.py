@@ -1,0 +1,152 @@
+"""Differential tests: the reducibility kernel, the shared construction
+loop and validate against the reference implementations in oracles.py."""
+
+from __future__ import annotations
+
+import random
+from dataclasses import replace
+
+import hypothesis.strategies as st
+from hypothesis import HealthCheck, given, settings
+
+import oracles
+from qfactgraph import (
+    Arrow,
+    DrinfeldPoly,
+    DynkinA,
+    FactGraph,
+    KRFactor,
+    build_graph,
+    is_q_factorization,
+    kr_pair_relation,
+    q_factorize,
+    rset,
+    rset_restricted,
+    rset_same_node,
+    validate,
+)
+from qfactgraph.dynkin import reducibility_bounds, reducible
+
+COMMON = dict(
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
+
+LEVELS = ("prefact", "pseudo", "qfact")
+
+
+@st.composite
+def kernel_cases(draw):
+    d = DynkinA(draw(st.integers(1, 12)))
+    i, j = draw(st.integers(1, d.n)), draw(st.integers(1, d.n))
+    r, s = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    lo = draw(st.integers(1, min(i, j)))
+    hi = draw(st.integers(max(i, j), d.n))
+    gap = draw(st.integers(-40, 40))
+    coset = draw(st.integers(0, 1))
+    return d, i, j, r, s, lo, hi, gap, coset
+
+
+@settings(max_examples=600, **COMMON)
+@given(kernel_cases())
+def test_kernel_matches_oracle(case):
+    d, i, j, r, s, lo, hi, gap, coset = case
+    ambient = range(lo, hi + 1)
+    old_full = oracles.rset(d, i, j, r, s)
+    old_restricted = oracles.rset_restricted(d, i, j, r, s, ambient)
+    assert reducibility_bounds(i, j, r, s, 1, d.n) == (old_full.lo, old_full.hi)
+    assert reducibility_bounds(i, j, r, s, lo, hi) == (old_restricted.lo, old_restricted.hi)
+    assert reducible(abs(gap), i, j, r, s, lo, hi) == (abs(gap) in old_restricted)
+    assert rset(d, i, j, r, s) == old_full
+    assert rset_restricted(d, i, j, r, s, ambient) == old_restricted
+    assert rset_same_node(d, i, r, s) == oracles.rset_same_node(d, i, r, s)
+    # Signed gaps exercise both arrow directions; cosets the simple branch.
+    f, g = KRFactor(i, 7 + gap, r), KRFactor(j, 7, s, coset)
+    assert kr_pair_relation(d, f, g) == oracles.kr_pair_relation(d, f, g)
+    assert kr_pair_relation(d, g, f) == oracles.kr_pair_relation(d, g, f)
+    same = KRFactor(i, 7, s, coset)
+    poly = DrinfeldPoly(d, (f, same))
+    expected = f.coset != same.coset or not oracles._strings_interact(f, same)
+    assert is_q_factorization(poly) == expected
+    assert build_graph(poly) == oracles._graph_from_factors(d, poly.factors)
+
+
+@st.composite
+def polys(draw, max_rank=6, max_factors=7, max_length=4):
+    d = DynkinA(draw(st.integers(1, max_rank)))
+    factors = tuple(
+        KRFactor(
+            draw(st.integers(1, d.n)),
+            draw(st.integers(-12, 12)),
+            draw(st.integers(1, max_length)),
+            draw(st.integers(0, 1)),
+        )
+        for _ in range(draw(st.integers(0, max_factors)))
+    )
+    return DrinfeldPoly(d, factors)
+
+
+def mutate(g: FactGraph, rng: random.Random, ops: int) -> FactGraph:
+    """Apply ops random edits: delete an arrow, insert an arrow (with the
+    center gap as exponent, or any exponent), change an exponent, or
+    recolor a vertex, possibly outside the diagram."""
+    vertices = dict(g.vertices)
+    arrows = list(g.arrows)
+    ids = sorted(vertices)
+    for _ in range(ops):
+        op = rng.randrange(5)
+        if op == 0 and arrows:
+            arrows.pop(rng.randrange(len(arrows)))
+        elif op in (1, 2) and ids:
+            t, h = rng.choice(ids), rng.choice(ids)
+            gap = vertices[t].center - vertices[h].center
+            exp = gap if op == 1 else rng.randrange(-3, 12)
+            arrows.append(Arrow(t, h, exp))
+        elif op == 3 and arrows:
+            k = rng.randrange(len(arrows))
+            arrows[k] = arrows[k]._replace(exp=arrows[k].exp + rng.choice((-2, -1, 1, 2)))
+        elif op == 4 and ids and rng.randrange(4) == 0:
+            v = rng.choice(ids)
+            vertices[v] = replace(vertices[v], color=rng.randrange(1, g.rank.n + 2))
+    return FactGraph(g.rank, vertices, tuple(arrows))
+
+
+@settings(max_examples=600, **COMMON)
+@given(polys(), st.booleans(), st.integers(0, 2**32 - 1), st.integers(0, 4))
+def test_validate_matches_oracle(poly, canonical_input, seed, ops):
+    if canonical_input:
+        poly = q_factorize(poly)
+    built = build_graph(poly)
+    assert built == oracles._graph_from_factors(poly.rank, poly.factors)
+    g = mutate(built, random.Random(seed), ops)
+    for level in LEVELS:
+        assert validate(g, level) == oracles.validate(g, level)
+
+
+def test_mutations_reach_every_failure_kind():
+    # Guards the differential test above against vacuity: its edits
+    # provoke every failure kind the validator can report.
+    rng = random.Random(2)
+    kinds = set()
+    for _ in range(400):
+        d = DynkinA(rng.randrange(1, 6))
+        factors = tuple(
+            KRFactor(
+                rng.randrange(1, d.n + 1), rng.randrange(-8, 9), rng.randrange(1, 4), rng.randrange(2)
+            )
+            for _ in range(rng.randrange(1, 7))
+        )
+        g = mutate(build_graph(DrinfeldPoly(d, factors)), rng, rng.randrange(0, 4))
+        for level in LEVELS:
+            kinds.update(f.kind for f in validate(g, level).failures)
+    assert kinds == {
+        "bad-color",
+        "self-loop",
+        "duplicate-pair-arrow",
+        "cross-coset-arrow",
+        "bad-exponent",
+        "missing-arrow",
+        "unjustified-arrow",
+        "qfact-violation",
+    }

@@ -11,6 +11,7 @@ from qfactgraph import (
     PreconditionViolated,
     alternating_line_check,
     build_graph,
+    canonical,
     chain_arrow_closure,
     chain_p_matrix,
     classify,
@@ -23,6 +24,7 @@ from qfactgraph import (
     kr_dual_pair_simple,
     parse_poly,
     partial_order,
+    q_factorize,
     subgraph,
     tournament_family,
 )
@@ -70,6 +72,14 @@ def test_classify_two_source_unknown(two_source_graph):
     statuses = sorted(c.status for c in verdict.report)
     assert statuses == ["ReducibleByExtremal", "Undetermined", "Undetermined"]
     assert len(verdict.report) == 3
+
+
+def test_classify_dual_neighborhood_certificate():
+    # Connected and not totally ordered, yet every cut has a dual witness.
+    g = canonical(build_graph(q_factorize(parse_poly("1:0:2 2:4:1 3:6:2", A3))))
+    assert not is_totally_ordered(g)
+    verdict = classify(g)
+    assert (verdict.outcome, verdict.certificate) == ("Prime", "DualNeighborhood")
 
 
 def test_classify_rejects_pseudo_input():
