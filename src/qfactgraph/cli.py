@@ -70,6 +70,8 @@ def _verdict_to_json(v: Verdict) -> dict:
     out: dict = {"outcome": v.outcome}
     if v.certificate is not None:
         out["certificate"] = v.certificate
+    if v.reason is not None:
+        out["reason"] = v.reason
     if v.witness is not None:
         out["witness"] = [poly_to_json(p) for p in v.witness]
     if v.report is not None:

@@ -11,8 +11,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import compress, repeat
+from operator import and_
 from types import MappingProxyType
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .dynkin import DynkinA, reducible
 from .errors import (
@@ -118,12 +120,69 @@ class FactGraph:
             out[a.head].add(a.tail)
         return MappingProxyType({v: tuple(sorted(ws)) for v, ws in out.items()})
 
+    @cached_property
+    def masks(self) -> BitMasks:
+        """The adjacency as int masks, built on first use by the cut stage."""
+        return BitMasks(self)
+
 
 @dataclass(frozen=True)
 class Cut:
     left: frozenset[int]
     right: frozenset[int]
     crossing: tuple[Arrow, ...]
+
+
+class BitMasks:
+    """A graph's adjacency on int masks, for the cut stage: vertex
+    ``ids[k]`` (the k-th of ``g.ids()``) is bit k.
+
+    ``out[k]`` is the mask of the heads of the arrows leaving ``ids[k]``,
+    ``inn[k]`` that of the tails of the arrows entering it and ``nbr[k]``
+    their union; ``extremal`` is the mask of the sources and sinks.
+    """
+
+    def __init__(self, g: FactGraph) -> None:
+        self.ids = ids = g.ids()
+        self.index = index = {v: k for k, v in enumerate(ids)}
+        out = [0] * len(ids)
+        inn = [0] * len(ids)
+        for a in g.arrows:
+            out[index[a.tail]] |= 1 << index[a.head]
+            inn[index[a.head]] |= 1 << index[a.tail]
+        self.out = tuple(out)
+        self.inn = tuple(inn)
+        self.nbr = tuple(o | i for o, i in zip(out, inn))
+        self.extremal = sum(1 << k for k, (o, i) in enumerate(zip(out, inn)) if not o or not i)
+        self.full = (1 << len(ids)) - 1
+        self._bit_values = tuple(1 << k for k in range(len(ids)))
+        self._vertex_set = frozenset(ids)
+        self._arrow_ends = tuple(
+            (a, 1 << index[a.tail] | 1 << index[a.head]) for a in g.arrows
+        )
+
+    def of(self, vertices: Iterable[int]) -> int:
+        """The mask of a collection of vertex ids of the graph."""
+        mask = 0
+        for v in vertices:
+            mask |= 1 << self.index[v]
+        return mask
+
+    def lefts(self, max_vertices: int) -> range:
+        """The left sides of the cuts, in the order cuts() yields them: the
+        first vertex is always on the left, and the other bits count up."""
+        n = len(self.ids)
+        if n > max_vertices:
+            raise TooManyVertices(
+                f"{n} vertices exceed the cut cap {max_vertices}; raise max_vertices to override"
+            )
+        return range(1, self.full, 2)
+
+    def cut(self, left: int) -> Cut:
+        """The cut whose left side is the mask left."""
+        members = frozenset(compress(self.ids, map(and_, repeat(left), self._bit_values)))
+        crossing = tuple(a for a, ends in self._arrow_ends if 0 != left & ends != ends)
+        return Cut(members, self._vertex_set - members, crossing)
 
 
 def _forced_arrows(rank: DynkinA, items: Sequence[tuple[int, KRFactor]]) -> list[Arrow]:
@@ -435,31 +494,8 @@ def neighborhoods(g: FactGraph, v: int, sign: int) -> frozenset[int]:
 
 def cuts(g: FactGraph, max_vertices: int = 20) -> Iterator[Cut]:
     """All unordered nontrivial bipartitions with their crossing arrows."""
-    ids = g.ids()
-    n = len(ids)
-    if n > max_vertices:
-        raise TooManyVertices(
-            f"{n} vertices exceed the cut cap {max_vertices}; raise max_vertices to override"
-        )
-
-    def generate() -> Iterator[Cut]:
-        if n < 2:
-            return
-        anchor, rest = ids[0], ids[1:]
-        for mask in range(2 ** len(rest) - 1):
-            left = {anchor}
-            for bit, v in enumerate(rest):
-                if mask >> bit & 1:
-                    left.add(v)
-            right = frozenset(ids) - left
-            crossing = tuple(
-                a
-                for a in g.arrows
-                if (a.tail in left) != (a.head in left)
-            )
-            yield Cut(frozenset(left), right, crossing)
-
-    return generate()
+    masks = g.masks
+    return map(masks.cut, masks.lefts(max_vertices))
 
 
 def arrow_dual(g: FactGraph) -> FactGraph:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
-from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 from .dynkin import DynkinA, reducible
@@ -91,13 +90,21 @@ def interacting_pairs(factors: Sequence[KRFactor]) -> Iterator[tuple[int, int]]:
     """Index pairs k < l of same-color, same-coset factors whose strings
     interact: their center gap lies in the single-node reducibility set
     {r + s - 2p : 0 <= p < min(r, s)}, i.e. the strings overlap without
-    nesting or abut with a gap of one step."""
-    for (k, a), (l, b) in combinations(enumerate(factors), 2):
-        if a.color != b.color or a.coset != b.coset:
-            continue
+    nesting or abut with a gap of one step.  Pairs come in lexicographic
+    order."""
+    # Each bucket holds its indices in descending order, so k is the last
+    # entry of its bucket when it is reached and the rest come after it.
+    buckets: dict[tuple[int, int], list[int]] = {}
+    for k in range(len(factors) - 1, -1, -1):
+        buckets.setdefault((factors[k].color, factors[k].coset), []).append(k)
+    for k, a in enumerate(factors):
+        rest = buckets[a.color, a.coset]
+        rest.pop()
         i = a.color
-        if reducible(abs(a.center - b.center), i, i, a.length, b.length, i, i):
-            yield k, l
+        for l in reversed(rest):
+            b = factors[l]
+            if reducible(abs(a.center - b.center), i, i, a.length, b.length, i, i):
+                yield k, l
 
 
 def is_q_factorization(p: DrinfeldPoly) -> bool:

@@ -9,7 +9,7 @@ per-cut classification report.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .dynkin import DynkinA
 from .errors import (
@@ -21,16 +21,13 @@ from .errors import (
 )
 from .fgraph import (
     Arrow,
+    BitMasks,
     Cut,
     FactGraph,
-    ancestors,
     connected_components,
-    cuts,
-    descendants,
     is_line,
     is_monotonic_line,
     is_totally_ordered,
-    subgraph,
     to_polynomial,
     validate,
 )
@@ -95,6 +92,7 @@ class Verdict:
     certificate: str | None = None
     witness: tuple[DrinfeldPoly, ...] | None = None
     report: tuple[CutClass, ...] | None = None
+    reason: str | None = None  # "cap-exceeded": too many vertices to walk the cuts
 
 
 def _check_cut(g: FactGraph, cut: Cut) -> None:
@@ -105,12 +103,35 @@ def _check_cut(g: FactGraph, cut: Cut) -> None:
         raise InvalidCut("cut sides must both be nonempty")
 
 
-def _extremal_in(g: FactGraph, v: int) -> bool:
-    return not g.out_adj[v] or not g.in_adj[v]
+def _bits(mask: int) -> Iterator[int]:
+    """The indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
-def _isolated_in(g: FactGraph, v: int) -> bool:
-    return not g.out_adj[v] and not g.in_adj[v]
+def _passes_extremal(m: BitMasks, k: int, side: int) -> bool:
+    """Vertex bit k is extremal in its side, and isolated there if it is
+    extremal in the whole graph."""
+    if not m.nbr[k] & side:
+        return True
+    return not m.extremal >> k & 1 and (not m.out[k] & side or not m.inn[k] & side)
+
+
+def _extremal_witness(g: FactGraph, left: int) -> CutWitness | None:
+    """cut_reducible_extremal on the cut whose left side is the mask left."""
+    m = g.masks
+    right = m.full ^ left
+    for kl in _bits(left):
+        if not _passes_extremal(m, kl, left):
+            continue
+        for kr in _bits(m.nbr[kl] & right):
+            if _passes_extremal(m, kr, right):
+                vl, vr = m.ids[kl], m.ids[kr]
+                amap = g.arrow_map
+                return CutWitness(vl, vr, amap.get((vl, vr)) or amap.get((vr, vl)))
+    return None
 
 
 def cut_reducible_extremal(g: FactGraph, cut: Cut) -> CutWitness | None:
@@ -118,24 +139,7 @@ def cut_reducible_extremal(g: FactGraph, cut: Cut) -> CutWitness | None:
     such that a pair member extremal in the whole graph is isolated in
     its side.  Such a pair certifies the cut's tensor product reducible."""
     _check_cut(g, cut)
-    left_sub = subgraph(g, cut.left)
-    right_sub = subgraph(g, cut.right)
-    amap = g.arrow_map
-    for vl in sorted(cut.left):
-        if not _extremal_in(left_sub, vl):
-            continue
-        if _extremal_in(g, vl) and not _isolated_in(left_sub, vl):
-            continue
-        for vr in sorted(cut.right):
-            arrow = amap.get((vl, vr)) or amap.get((vr, vl))
-            if arrow is None:
-                continue
-            if not _extremal_in(right_sub, vr):
-                continue
-            if _extremal_in(g, vr) and not _isolated_in(right_sub, vr):
-                continue
-            return CutWitness(vl, vr, arrow)
-    return None
+    return _extremal_witness(g, g.masks.of(cut.left))
 
 
 def cut_arrowless_simple(g: FactGraph, cut: Cut) -> bool:
@@ -143,46 +147,88 @@ def cut_arrowless_simple(g: FactGraph, cut: Cut) -> bool:
     return not cut.crossing
 
 
-def _dual_cut_witness(g: FactGraph, cut: Cut) -> DualCutWitness | None:
-    d = g.rank
-    amap = g.arrow_map
-    left_sub = subgraph(g, cut.left)
-    right_sub = subgraph(g, cut.right)
-    for vl in sorted(cut.left):
-        for vr in sorted(cut.right):
+def _closure(step: tuple[int, ...], k: int, side: int) -> int:
+    """Bit k and every vertex of side reachable from it along the step
+    masks (out: descendants, inn: ancestors) without leaving side."""
+    seen = frontier = 1 << k
+    while frontier:
+        reach = 0
+        for j in _bits(frontier):
+            reach |= step[j]
+        frontier = reach & side & ~seen
+        seen |= frontier
+    return seen
+
+
+class _DualRows:
+    """kr_dual_pair_simple on ordered vertex pairs of a graph, each pair
+    computed on first use and kept in row masks: bit y of simple[x] is set
+    iff the product of vertex x with the right dual of vertex y is simple."""
+
+    def __init__(self, g: FactGraph) -> None:
+        self.rank = g.rank
+        self.factors = tuple(g.vertices[v] for v in g.masks.ids)
+        self.known = [0] * len(self.factors)
+        self.simple = [0] * len(self.factors)
+
+    def covers(self, x: int, need: int) -> bool:
+        """True iff vertex x is dual-simple against every vertex of need."""
+        todo = need & ~self.known[x]
+        if todo:
+            fx = self.factors[x]
+            for y in _bits(todo):
+                if kr_dual_pair_simple(self.rank, fx, self.factors[y]):
+                    self.simple[x] |= 1 << y
+            self.known[x] |= todo
+        return not need & ~self.simple[x]
+
+    def all_simple(self, upper: int, lower: int, top: int, bottom: int) -> bool:
+        """Every vertex of upper is dual-simple against every vertex of
+        lower, except for the base pair (top, bottom)."""
+        return all(
+            self.covers(x, lower & ~(1 << bottom) if x == top else lower)
+            for x in _bits(upper)
+        )
+
+
+def _dual_base(
+    m: BitMasks, rows: _DualRows, left: int
+) -> tuple[int, int, int, int, int] | None:
+    """The first base pair (kl, kr) of the cut whose left side is the mask
+    left that passes the dual test, as (kl, kr, condition, upper, lower)
+    with upper and lower the neighborhoods whose pairs were tested, or
+    None."""
+    right = m.full ^ left
+    for kl in _bits(left):
+        for kr in _bits(m.nbr[kl] & right):
             # The monotone neighborhoods of the base vertices include the
             # bases; only the base pair itself is exempt from the test.
-            if (vr, vl) in amap:
-                np_left = sorted(ancestors(left_sub, vl) | {vl})
-                nm_right = sorted(descendants(right_sub, vr) | {vr})
-                pairs = tuple(
-                    (x, y)
-                    for x in np_left
-                    for y in nm_right
-                    if (x, y) != (vl, vr)
-                )
-                if all(
-                    kr_dual_pair_simple(d, g.vertices[x], g.vertices[y])
-                    for x, y in pairs
-                ):
-                    return DualCutWitness(cut, vl, vr, 1, pairs)
-            if (vl, vr) in amap:
-                nm_left = sorted(descendants(left_sub, vl) | {vl})
-                np_right = sorted(ancestors(right_sub, vr) | {vr})
-                pairs = tuple(
-                    (x, y)
-                    for x in nm_left
-                    for y in np_right
-                    if (x, y) != (vl, vr)
-                )
+            if m.out[kr] >> kl & 1:
+                upper = _closure(m.inn, kl, left)
+                lower = _closure(m.out, kr, right)
+                if rows.all_simple(upper, lower, kl, kr):
+                    return kl, kr, 1, upper, lower
+            if m.out[kl] >> kr & 1:
                 # Mirrored condition: the left member is dualized, which is
                 # the same simplicity test with the arguments swapped.
-                if all(
-                    kr_dual_pair_simple(d, g.vertices[y], g.vertices[x])
-                    for x, y in pairs
-                ):
-                    return DualCutWitness(cut, vl, vr, 2, pairs)
+                upper = _closure(m.inn, kr, right)
+                lower = _closure(m.out, kl, left)
+                if rows.all_simple(upper, lower, kr, kl):
+                    return kl, kr, 2, upper, lower
     return None
+
+
+def _dual_cut_witness(
+    m: BitMasks, cut: Cut, kl: int, kr: int, condition: int, upper: int, lower: int
+) -> DualCutWitness:
+    # checked lists (left vertex, right vertex) pairs ordered by left vertex;
+    # the left side's neighborhood is upper under condition 1, lower under 2.
+    xs, ys = (upper, lower) if condition == 1 else (lower, upper)
+    ids = m.ids
+    checked = tuple(
+        (ids[x], ids[y]) for x in _bits(xs) for y in _bits(ys) if (x, y) != (kl, kr)
+    )
+    return DualCutWitness(cut, ids[kl], ids[kr], condition, checked)
 
 
 def dual_neighborhood_certificate(
@@ -192,22 +238,29 @@ def dual_neighborhood_certificate(
     joined by an arrow whose punctured neighborhood products are all
     simple against the appropriate duals.  Returns None as soon as one
     cut admits no witness."""
+    m = g.masks
+    rows = _DualRows(g)
     witnesses = []
-    for cut in cuts(g, max_vertices=max_cut_vertices):
-        w = _dual_cut_witness(g, cut)
-        if w is None:
+    for left in m.lefts(max_cut_vertices):
+        base = _dual_base(m, rows, left)
+        if base is None:
             return None
-        witnesses.append(w)
+        witnesses.append(_dual_cut_witness(m, m.cut(left), *base))
     return DualCertificate(tuple(witnesses))
+
+
+def _extremal_class(g: FactGraph, cut: Cut, left: int) -> CutClass:
+    witness = _extremal_witness(g, left)
+    if witness is not None:
+        return CutClass(cut, "ReducibleByExtremal", witness)
+    return CutClass(cut, "Undetermined")
 
 
 def classify_cut(g: FactGraph, cut: Cut) -> CutClass:
     if cut_arrowless_simple(g, cut):
         return CutClass(cut, "ReducibleByArrowless")
-    witness = cut_reducible_extremal(g, cut)
-    if witness is not None:
-        return CutClass(cut, "ReducibleByExtremal", witness)
-    return CutClass(cut, "Undetermined")
+    _check_cut(g, cut)
+    return _extremal_class(g, cut, g.masks.of(cut.left))
 
 
 def classify(g: FactGraph, max_cut_vertices: int = 20) -> Verdict:
@@ -215,9 +268,10 @@ def classify(g: FactGraph, max_cut_vertices: int = 20) -> Verdict:
 
     Pipeline: disconnected graphs factor across components (NotPrime);
     one- and two-vertex connected graphs are prime; totally ordered
-    graphs are prime; otherwise the dual-neighborhood certificate is
-    attempted, and failing that the verdict is Unknown with every cut
-    classified by the extremal-pair test.
+    graphs are prime; graphs with more than max_cut_vertices vertices are
+    Unknown with reason "cap-exceeded"; otherwise the dual-neighborhood
+    certificate is attempted, and failing that the verdict is Unknown
+    with every cut classified by the extremal-pair test.
     """
     report = validate(g, "qfact")
     if not report.ok:
@@ -239,12 +293,18 @@ def classify(g: FactGraph, max_cut_vertices: int = 20) -> Verdict:
     if is_totally_ordered(g):
         cert = "TotallyOrderedLine" if is_monotonic_line(g) else "TotallyOrdered"
         return Verdict("Prime", certificate=cert)
-    if dual_neighborhood_certificate(g, max_cut_vertices=max_cut_vertices) is not None:
+    if n > max_cut_vertices:
+        return Verdict("Unknown", reason="cap-exceeded")
+    m = g.masks
+    lefts = m.lefts(max_cut_vertices)
+    rows = _DualRows(g)
+    if all(_dual_base(m, rows, left) for left in lefts):
         return Verdict("Prime", certificate="DualNeighborhood")
-    cut_report = tuple(
-        classify_cut(g, cut) for cut in cuts(g, max_vertices=max_cut_vertices)
+    # The graph is connected, so an arrow crosses every cut.
+    return Verdict(
+        "Unknown",
+        report=tuple(_extremal_class(g, m.cut(left), left) for left in lefts),
     )
-    return Verdict("Unknown", report=cut_report)
 
 
 def _check_chain(

@@ -57,7 +57,7 @@ class RSet:
         return iter(self.members)
 
     def __len__(self) -> int:
-        return len(self.members)
+        return max(0, (self.hi - self.lo) // 2 + 1)
 
 
 def _check_lengths(r: int, s: int) -> None:

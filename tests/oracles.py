@@ -5,23 +5,42 @@ reducibility kernel (``dynkin.reducibility_bounds``) and the shared
 construction loop replaced them, copied unchanged.  They recompute every
 reducibility set through ``DynkinA.distance`` and ``boundary_distance``,
 so they share no arithmetic with the kernel they check.
+
+The cut stage below (``cuts`` through ``classify``) is the set-based
+version the bitmask cut engine replaced, also copied unchanged: every
+cut builds both sides as subgraphs and walks them.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterator, Iterable
 
 from qfactgraph import (
     Arrow,
+    Cut,
+    CutClass,
+    DualCertificate,
     DynkinA,
     FactGraph,
     IntervalDoesNotContain,
+    InvalidCut,
     InvalidInterval,
     KRFactor,
+    NotQFactGraph,
     PairRelation,
     RSet,
+    TooManyVertices,
+    Verdict,
     Vertex,
+    connected_components,
+    is_monotonic_line,
+    is_totally_ordered,
+    kr_dual_pair_simple,
+    subgraph,
+    to_polynomial,
 )
+from qfactgraph.fgraph import ancestors, descendants
+from qfactgraph.primality import CutWitness, DualCutWitness
 from qfactgraph.fgraph import _LEVELS, ValidationFailure, ValidationReport
 from qfactgraph.redsets import SIMPLE, _check_lengths
 
@@ -220,3 +239,182 @@ def validate(g: FactGraph, level: str = "qfact") -> ValidationReport:
                     )
                 )
     return ValidationReport(level, tuple(fails))
+
+
+def cuts(g: FactGraph, max_vertices: int = 20) -> Iterator[Cut]:
+    """All unordered nontrivial bipartitions with their crossing arrows."""
+    ids = g.ids()
+    n = len(ids)
+    if n > max_vertices:
+        raise TooManyVertices(
+            f"{n} vertices exceed the cut cap {max_vertices}; raise max_vertices to override"
+        )
+
+    def generate() -> Iterator[Cut]:
+        if n < 2:
+            return
+        anchor, rest = ids[0], ids[1:]
+        for mask in range(2 ** len(rest) - 1):
+            left = {anchor}
+            for bit, v in enumerate(rest):
+                if mask >> bit & 1:
+                    left.add(v)
+            right = frozenset(ids) - left
+            crossing = tuple(
+                a
+                for a in g.arrows
+                if (a.tail in left) != (a.head in left)
+            )
+            yield Cut(frozenset(left), right, crossing)
+
+    return generate()
+
+
+def _check_cut(g: FactGraph, cut: Cut) -> None:
+    ids = set(g.ids())
+    if set(cut.left) | set(cut.right) != ids or set(cut.left) & set(cut.right):
+        raise InvalidCut("cut sides do not bipartition the vertex set")
+    if not cut.left or not cut.right:
+        raise InvalidCut("cut sides must both be nonempty")
+
+
+def _extremal_in(g: FactGraph, v: int) -> bool:
+    return not g.out_adj[v] or not g.in_adj[v]
+
+
+def _isolated_in(g: FactGraph, v: int) -> bool:
+    return not g.out_adj[v] and not g.in_adj[v]
+
+
+def cut_reducible_extremal(g: FactGraph, cut: Cut) -> CutWitness | None:
+    """Search the cut for an adjacent pair, extremal in their own sides,
+    such that a pair member extremal in the whole graph is isolated in
+    its side.  Such a pair certifies the cut's tensor product reducible."""
+    _check_cut(g, cut)
+    left_sub = subgraph(g, cut.left)
+    right_sub = subgraph(g, cut.right)
+    amap = g.arrow_map
+    for vl in sorted(cut.left):
+        if not _extremal_in(left_sub, vl):
+            continue
+        if _extremal_in(g, vl) and not _isolated_in(left_sub, vl):
+            continue
+        for vr in sorted(cut.right):
+            arrow = amap.get((vl, vr)) or amap.get((vr, vl))
+            if arrow is None:
+                continue
+            if not _extremal_in(right_sub, vr):
+                continue
+            if _extremal_in(g, vr) and not _isolated_in(right_sub, vr):
+                continue
+            return CutWitness(vl, vr, arrow)
+    return None
+
+
+def cut_arrowless_simple(g: FactGraph, cut: Cut) -> bool:
+    """True iff no arrow crosses the cut; the cut then factors the module."""
+    return not cut.crossing
+
+
+def _dual_cut_witness(g: FactGraph, cut: Cut) -> DualCutWitness | None:
+    d = g.rank
+    amap = g.arrow_map
+    left_sub = subgraph(g, cut.left)
+    right_sub = subgraph(g, cut.right)
+    for vl in sorted(cut.left):
+        for vr in sorted(cut.right):
+            # The monotone neighborhoods of the base vertices include the
+            # bases; only the base pair itself is exempt from the test.
+            if (vr, vl) in amap:
+                np_left = sorted(ancestors(left_sub, vl) | {vl})
+                nm_right = sorted(descendants(right_sub, vr) | {vr})
+                pairs = tuple(
+                    (x, y)
+                    for x in np_left
+                    for y in nm_right
+                    if (x, y) != (vl, vr)
+                )
+                if all(
+                    kr_dual_pair_simple(d, g.vertices[x], g.vertices[y])
+                    for x, y in pairs
+                ):
+                    return DualCutWitness(cut, vl, vr, 1, pairs)
+            if (vl, vr) in amap:
+                nm_left = sorted(descendants(left_sub, vl) | {vl})
+                np_right = sorted(ancestors(right_sub, vr) | {vr})
+                pairs = tuple(
+                    (x, y)
+                    for x in nm_left
+                    for y in np_right
+                    if (x, y) != (vl, vr)
+                )
+                # Mirrored condition: the left member is dualized, which is
+                # the same simplicity test with the arguments swapped.
+                if all(
+                    kr_dual_pair_simple(d, g.vertices[y], g.vertices[x])
+                    for x, y in pairs
+                ):
+                    return DualCutWitness(cut, vl, vr, 2, pairs)
+    return None
+
+
+def dual_neighborhood_certificate(
+    g: FactGraph, max_cut_vertices: int = 20
+) -> DualCertificate | None:
+    """Try to certify primality by exhibiting, for every cut, a base pair
+    joined by an arrow whose punctured neighborhood products are all
+    simple against the appropriate duals.  Returns None as soon as one
+    cut admits no witness."""
+    witnesses = []
+    for cut in cuts(g, max_vertices=max_cut_vertices):
+        w = _dual_cut_witness(g, cut)
+        if w is None:
+            return None
+        witnesses.append(w)
+    return DualCertificate(tuple(witnesses))
+
+
+def classify_cut(g: FactGraph, cut: Cut) -> CutClass:
+    if cut_arrowless_simple(g, cut):
+        return CutClass(cut, "ReducibleByArrowless")
+    witness = cut_reducible_extremal(g, cut)
+    if witness is not None:
+        return CutClass(cut, "ReducibleByExtremal", witness)
+    return CutClass(cut, "Undetermined")
+
+
+def classify(g: FactGraph, max_cut_vertices: int = 20) -> Verdict:
+    """Decide primality of the module attached to a q-factorization graph.
+
+    Pipeline: disconnected graphs factor across components (NotPrime);
+    one- and two-vertex connected graphs are prime; totally ordered
+    graphs are prime; otherwise the dual-neighborhood certificate is
+    attempted, and failing that the verdict is Unknown with every cut
+    classified by the extremal-pair test.
+    """
+    report = validate(g, "qfact")
+    if not report.ok:
+        raise NotQFactGraph(f"graph fails q-factorization validation: {report.first}")
+    if not g.vertices:
+        # The empty polynomial denotes the trivial module, the unit of the
+        # tensor product; it is not prime and its witness is empty.
+        return Verdict("NotPrime", witness=())
+    components = connected_components(g)
+    if len(components) > 1:
+        return Verdict(
+            "NotPrime", witness=tuple(to_polynomial(c) for c in components)
+        )
+    n = len(g.vertices)
+    if n == 1:
+        return Verdict("Prime", certificate="SingleVertex")
+    if n == 2:
+        return Verdict("Prime", certificate="TwoVertexConnected")
+    if is_totally_ordered(g):
+        cert = "TotallyOrderedLine" if is_monotonic_line(g) else "TotallyOrdered"
+        return Verdict("Prime", certificate=cert)
+    if dual_neighborhood_certificate(g, max_cut_vertices=max_cut_vertices) is not None:
+        return Verdict("Prime", certificate="DualNeighborhood")
+    cut_report = tuple(
+        classify_cut(g, cut) for cut in cuts(g, max_vertices=max_cut_vertices)
+    )
+    return Verdict("Unknown", report=cut_report)

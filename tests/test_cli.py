@@ -115,6 +115,17 @@ def test_verdict_dual_neighborhood():
     assert text == '{"certificate": "DualNeighborhood", "outcome": "Prime"}\n'
 
 
+def test_verdict_cap_exceeded():
+    # 21 vertices, connected and not totally ordered: one past the cut cap.
+    poly = (
+        "1:-13:1 1:6:2 1:6:2 2:-11:2 2:-2:1 2:6:1 2:10:1 2:10:1 2:11:2 2:16:1 "
+        "2:17:2 3:-5:1 3:16:2 4:-4:1 4:-3:2 4:11:2 4:11:2 5:-7:1 5:0:2 5:1:1 5:15:1"
+    )
+    code, text = invoke("verdict", "--rank", "5", poly)
+    assert code == 2
+    assert text == '{"outcome": "Unknown", "reason": "cap-exceeded"}\n'
+
+
 def test_verdict_canonicalizes_first():
     # the raw pair is not a q-factorization; the verdict is for the product
     code, text = invoke("verdict", "--rank", "2", "1:0:1 1:2:1")

@@ -9,6 +9,8 @@ from qfactgraph import (
     KRFactor,
     NotQFactGraph,
     PreconditionViolated,
+    TooManyVertices,
+    Verdict,
     alternating_line_check,
     build_graph,
     canonical,
@@ -72,6 +74,17 @@ def test_classify_two_source_unknown(two_source_graph):
     statuses = sorted(c.status for c in verdict.report)
     assert statuses == ["ReducibleByExtremal", "Undetermined", "Undetermined"]
     assert len(verdict.report) == 3
+
+
+def test_classify_cap_exceeded(two_source_graph):
+    # Past the cut cap the verdict is an honest Unknown without a report;
+    # the certificate on its own still refuses the graph.
+    verdict = classify(two_source_graph, max_cut_vertices=2)
+    assert verdict == Verdict("Unknown", reason="cap-exceeded")
+    with pytest.raises(TooManyVertices):
+        dual_neighborhood_certificate(two_source_graph, max_cut_vertices=2)
+    ordered = classify(build_graph(tournament_family(4, 8)), max_cut_vertices=2)
+    assert (ordered.outcome, ordered.certificate) == ("Prime", "TotallyOrdered")
 
 
 def test_classify_dual_neighborhood_certificate():

@@ -174,6 +174,8 @@ def test_rset_invariants(params, data):
     inner = rset_restricted(d, i, j, r, s, span)
     outer = rset_restricted(d, i, j, r, s, range(lo, hi + 1))
     assert set(inner) <= set(outer) <= set(rs)
+    for t in (rs, inner, outer):
+        assert len(t) == len(t.members)
     assert rset_restricted(d, i, j, r, s, range(1, d.n + 1)).members == rs.members
 
 
