@@ -11,8 +11,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import compress, repeat
-from operator import and_
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -155,7 +153,6 @@ class BitMasks:
         self.nbr = tuple(o | i for o, i in zip(out, inn))
         self.extremal = sum(1 << k for k, (o, i) in enumerate(zip(out, inn)) if not o or not i)
         self.full = (1 << len(ids)) - 1
-        self._bit_values = tuple(1 << k for k in range(len(ids)))
         self._vertex_set = frozenset(ids)
         self._arrow_ends = tuple(
             (a, 1 << index[a.tail] | 1 << index[a.head]) for a in g.arrows
@@ -180,7 +177,7 @@ class BitMasks:
 
     def cut(self, left: int) -> Cut:
         """The cut whose left side is the mask left."""
-        members = frozenset(compress(self.ids, map(and_, repeat(left), self._bit_values)))
+        members = frozenset(v for k, v in enumerate(self.ids) if left >> k & 1)
         crossing = tuple(a for a, ends in self._arrow_ends if 0 != left & ends != ends)
         return Cut(members, self._vertex_set - members, crossing)
 
