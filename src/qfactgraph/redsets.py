@@ -83,11 +83,14 @@ def rset_restricted(
     the role of the diagram boundary.
     """
     _check_lengths(r, s)
-    js = sorted(set(J))
+    # A unit-step range is checked in place: its node check fails by node
+    # n + 1, so a huge range is never materialized.
+    js = J if isinstance(J, range) and J.step == 1 else sorted(set(J))
     if not js:
         raise InvalidInterval("empty restricting interval")
     for node in js:
         d.check_node(node)
+    js = list(js)
     if js != list(range(js[0], js[-1] + 1)):
         raise InvalidInterval(f"{js} is not a connected interval")
     d.check_node(i)

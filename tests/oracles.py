@@ -9,20 +9,27 @@ so they share no arithmetic with the kernel they check.
 The cut stage below (``cuts`` through ``classify``) is the set-based
 version the bitmask cut engine replaced, also copied unchanged: every
 cut builds both sides as subgraphs and walks them.
+
+``q_factorize`` and ``_longest_run`` are the root-expanding run peeling
+the endpoint sweep replaced, copied unchanged: every root of every string
+goes into a multiset, and the longest step-2 run is peeled off repeatedly.
 """
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from typing import Iterator, Iterable
 
 from qfactgraph import (
     Arrow,
     Cut,
     CutClass,
+    DrinfeldPoly,
     DualCertificate,
     DynkinA,
     FactGraph,
     IntervalDoesNotContain,
+    InternalInvariantViolation,
     InvalidCut,
     InvalidInterval,
     KRFactor,
@@ -34,8 +41,10 @@ from qfactgraph import (
     Vertex,
     connected_components,
     is_monotonic_line,
+    is_q_factorization,
     is_totally_ordered,
     kr_dual_pair_simple,
+    roots_of,
     subgraph,
     to_polynomial,
 )
@@ -418,3 +427,47 @@ def classify(g: FactGraph, max_cut_vertices: int = 20) -> Verdict:
         classify_cut(g, cut) for cut in cuts(g, max_vertices=max_cut_vertices)
     )
     return Verdict("Unknown", report=cut_report)
+
+
+def _longest_run(pool: Counter) -> tuple[int, int]:
+    """Longest step-2 run in the support of ``pool``; leftmost on ties.
+
+    Runs live inside one parity class, so each class is scanned separately.
+    """
+    runs = []
+    for parity in (0, 1):
+        support = sorted(x for x in pool if x % 2 == parity)
+        k = 0
+        while k < len(support):
+            j = k
+            while j + 1 < len(support) and support[j + 1] - support[j] == 2:
+                j += 1
+            runs.append((support[k], j - k + 1))
+            k = j + 1
+    return max(runs, key=lambda run: (run[1], -run[0]))
+
+
+def q_factorize(p: DrinfeldPoly) -> DrinfeldPoly:
+    """Canonical factorization of a (pseudo) factorization into KR strings.
+
+    Per (color, coset) class the factors are expanded into their root
+    multiset; the longest step-2 run present is peeled off repeatedly
+    (leftmost on ties), each peel emitting one KR factor.  The result is
+    verified pairwise; a failure indicates a bug, not bad input.
+    """
+    out: list[KRFactor] = []
+    groups: dict[tuple[int, int], Counter] = defaultdict(Counter)
+    for f in p.factors:
+        groups[(f.color, f.coset)].update(roots_of(f))
+    for (color, coset), pool in sorted(groups.items()):
+        while pool:
+            start, length = _longest_run(pool)
+            for x in range(start, start + 2 * length, 2):
+                pool[x] -= 1
+                if not pool[x]:
+                    del pool[x]
+            out.append(KRFactor(color, start + length - 1, length, coset))
+    result = DrinfeldPoly(p.rank, tuple(out))
+    if not is_q_factorization(result):
+        raise InternalInvariantViolation("run peeling produced interacting strings")
+    return result

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
 import json
+import time
 from io import StringIO
+
+import hypothesis.strategies as st
+from hypothesis import HealthCheck, given, settings
 
 from qfactgraph.cli import run
 
@@ -197,3 +201,124 @@ def test_data_error_exit_code():
 def test_parse_accumulates_multiplicity():
     code, text = invoke("factorize", "--rank", "5", "1:0:1 1:0:1")
     assert code == 0 and text.strip() == "1:0:1 1:0:1"
+
+
+def test_factorize_string_of_a_billion_roots():
+    # The canonical factorization never expands roots, so length is free.
+    code, text = invoke("factorize", "--rank", "1", "1:0:1000000000")
+    assert code == 0 and text == "1:0:1000000000\n"
+    code, text = invoke("verdict", "--rank", "1", "1:0:1000000000")
+    assert code == 0
+    assert json.loads(text) == {"certificate": "SingleVertex", "outcome": "Prime"}
+
+
+def test_factorize_merges_abutting_long_strings():
+    # Roots -1999999999..-1 and 1..1999999999 (step 2) form one string.
+    code, text = invoke(
+        "factorize", "--rank", "1", "1:-1000000000:1000000000 1:1000000000:1000000000"
+    )
+    assert code == 0 and text == "1:0:2000000000\n"
+
+
+def test_rset_interval_is_not_materialized():
+    code, _ = invoke("rset", "1", "1", "1", "1", "--rank", "3", "--interval", "1", str(10**12))
+    assert code == 65
+
+
+@st.composite
+def kr_tokens(draw):
+    color = draw(st.one_of(st.integers(1, 3), st.integers(0, 9)))
+    center = draw(st.one_of(st.integers(-20, 20), st.integers(-(10**12), 10**12)))
+    length = draw(st.one_of(st.integers(1, 30), st.integers(0, 10**12)))
+    coset = draw(st.sampled_from(("", "", "@1", "@-2")))
+    return f"{color}:{center}:{length}{coset}"
+
+
+# Sizes are capped here: at most 6 tokens or list items, ranks and --N up
+# to 8, and no arbitrary text with more than 4 digits, so every int it
+# parses to is small (the rset verb prints every member of its set).
+polys_text = st.lists(kr_tokens(), max_size=6).map(" ".join)
+small_text = st.text(max_size=20).filter(lambda t: sum(map(str.isdigit, t)) <= 4)
+ranks = st.one_of(st.integers(3, 8), st.integers(0, 8)).map(str)
+small_ints = st.one_of(st.integers(1, 4), st.integers(-3, 12)).map(str)
+
+
+def int_list(max_size: int):
+    return st.lists(st.integers(-2, 12).map(str), max_size=max_size).map(",".join)
+
+
+snake_points = st.lists(st.tuples(st.integers(1, 4), st.integers(-9, 20)), max_size=6).map(
+    lambda pts: ",".join(f"{i}:{m}" for i, m in pts)
+)
+VERBS = ("factorize", "graph", "check", "verdict", "dual", "rset", "family")
+WORDS = VERBS + (
+    "tournament", "snake", "skew",
+    "--rank", "--json", "--dot", "--hasse", "--level", "--kind", "--by",
+    "--interval", "--N", "--n", "--points", "--lambda", "--mu", "--poly-only",
+    "--help", "prefact", "pseudo", "qfact",
+    "negate", "sigma", "star", "kappa", "shift",
+)  # fmt: skip
+noise = st.one_of(st.sampled_from(WORDS), ranks, small_ints, polys_text, small_text)
+
+
+@st.composite
+def cli_argv(draw):
+    """A well-formed command line for one verb, then up to two random
+    edits (insert, replace or delete an item) drawn from the CLI's
+    vocabulary, numbers, token lists and arbitrary text."""
+    verb = draw(st.sampled_from(VERBS))
+    argv = [verb]
+    if verb == "rset":
+        argv += [draw(small_ints) for _ in range(4)] + ["--rank", draw(ranks)]
+        if draw(st.booleans()):
+            argv += ["--interval", draw(small_ints), draw(small_ints)]
+    elif verb == "family":
+        kind = draw(st.sampled_from(("tournament", "snake", "skew")))
+        argv.append(kind)
+        if kind == "tournament":
+            argv += ["--N", draw(ranks), "--n", draw(ranks)]
+        elif kind == "snake":
+            argv += ["--points", draw(snake_points), "--rank", draw(ranks)]
+        else:
+            argv += ["--lambda", draw(int_list(6)), "--mu", draw(int_list(3))]
+            argv += ["--rank", draw(ranks)]
+        if draw(st.booleans()):
+            argv.append("--poly-only")
+    else:
+        argv += ["--rank", draw(ranks)]
+        if verb == "dual":
+            kind = draw(st.sampled_from(("negate", "sigma", "star", "kappa", "shift")))
+            argv += ["--kind", kind, "--by", draw(small_ints)]
+        elif verb == "check":
+            argv += ["--level", draw(st.sampled_from(("prefact", "pseudo", "qfact")))]
+        elif verb == "graph":
+            argv += draw(st.lists(st.sampled_from(("--json", "--dot", "--hasse")), max_size=2))
+        if verb in ("factorize", "dual") and draw(st.booleans()):
+            argv.append("--json")
+        if draw(st.booleans()):
+            argv.append(draw(polys_text))
+    for _ in range(draw(st.sampled_from((0, 0, 0, 1, 2)))):
+        k = draw(st.integers(0, len(argv)))
+        edit = draw(st.sampled_from(("insert", "replace", "delete")))
+        if edit == "insert":
+            argv.insert(k, draw(noise))
+        elif k < len(argv):
+            if edit == "replace":
+                argv[k] = draw(noise)
+            else:
+                del argv[k]
+    return argv
+
+
+@settings(
+    max_examples=500,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(cli_argv(), st.one_of(polys_text, small_text))
+def test_cli_fuzz(argv, stdin_text):
+    started = time.perf_counter()
+    code, _ = invoke(*argv, stdin_text=stdin_text)
+    assert code in (0, 1, 2, 64, 65)
+    assert time.perf_counter() - started < 5

@@ -1,6 +1,6 @@
 """Differential tests: the reducibility kernel, the shared construction
-loop, validate and the bitmask cut engine against the reference
-implementations in oracles.py."""
+loop, validate, the bitmask cut engine and the endpoint-sweep
+q-factorization against the reference implementations in oracles.py."""
 
 from __future__ import annotations
 
@@ -234,3 +234,52 @@ def test_grown_graphs_reach_every_cut_stage_verdict():
         seen[verdict.certificate or verdict.outcome] += 1
     assert seen["DualNeighborhood"] >= 5
     assert seen["Unknown"] >= 5
+
+
+def string_soup(pick) -> tuple[KRFactor, ...]:
+    """Up to 12 strings on colors 1-3 and cosets 0-1, of lengths 1-40, with
+    centers in a narrow window and lowest roots of both parities.  After
+    the first, a string may repeat an earlier one, abut it on either side
+    (same color and coset), or share its color and coset at a nearby
+    center, so overlaps, nestings, merges and repeats are common.
+    ``pick(lo, hi)`` draws an int in [lo, hi]."""
+    factors: list[KRFactor] = []
+    for _ in range(pick(0, 12)):
+        length = pick(1, 40)
+        mode = pick(0, 3) if factors else 0
+        if mode == 0:
+            factors.append(KRFactor(pick(1, 3), pick(-12, 12), length, pick(0, 1)))
+            continue
+        base = factors[pick(0, len(factors) - 1)]
+        if mode == 1:
+            factors.append(base)
+        elif mode == 2:
+            side = pick(0, 1) * 2 - 1
+            center = base.center + side * (base.length + length)
+            factors.append(replace(base, center=center, length=length))
+        else:
+            center = base.center + pick(-length - base.length, length + base.length)
+            factors.append(replace(base, center=center, length=length))
+    return tuple(factors)
+
+
+@settings(max_examples=600, **COMMON)
+@given(st.data())
+def test_q_factorize_matches_oracle(data):
+    factors = string_soup(lambda lo, hi: data.draw(st.integers(lo, hi)))
+    poly = DrinfeldPoly(DynkinA(3), factors)
+    assert q_factorize(poly) == oracles.q_factorize(poly)
+
+
+def test_string_soup_reaches_merges_and_recuts():
+    # Guards the differential test above against vacuity: its inputs
+    # merge strings (fewer factors out than in), re-cut overlapping ones
+    # into a union and an intersection (as many factors, but others) and
+    # are already canonical.
+    rng = random.Random(7)
+    seen = Counter()
+    for _ in range(300):
+        poly = DrinfeldPoly(DynkinA(3), string_soup(rng.randint))
+        out = oracles.q_factorize(poly)
+        seen["merge" if len(out) < len(poly) else "recut" if out != poly else "same"] += 1
+    assert seen["merge"] >= 30 and seen["recut"] >= 10 and seen["same"] >= 30
