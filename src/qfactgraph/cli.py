@@ -49,6 +49,7 @@ USAGE_ERROR = 64
 DATA_ERROR = 65
 
 _VERDICT_EXIT = {"Prime": 0, "NotPrime": 1, "Unknown": 2}
+_CHUNK = 1024  # list items per write
 
 
 class _Parser(argparse.ArgumentParser):
@@ -145,8 +146,19 @@ def _cmd_rset(args, inp: IO[str], out: IO[str]) -> int:
         rs = rset_restricted(d, args.i, args.j, args.r, args.s, range(lo, hi + 1))
     else:
         rs = rset(d, args.i, args.j, args.r, args.s)
-    print(_dumps(list(rs.members)), file=out)
+    _write_int_list(rs.members, out)
     return 0
+
+
+def _write_int_list(values: range, out: IO[str]) -> None:
+    """Print json.dumps(list(values)) in chunks straight from the range,
+    so memory stays constant however many values there are."""
+    out.write("[")
+    for start in range(0, len(values), _CHUNK):
+        if start:
+            out.write(", ")
+        out.write(", ".join(map(str, values[start : start + _CHUNK])))
+    out.write("]\n")
 
 
 def build_parser() -> _Parser:

@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -21,7 +22,7 @@ from .errors import (
     RankMismatch,
     TooManyVertices,
 )
-from .lweight import DrinfeldPoly, KRFactor, interacting_pairs, q_factorize
+from .lweight import DrinfeldPoly, KRFactor, interacting_pairs, q_factorize, window_pairs
 from .redsets import rset_same_node
 
 __all__ = [
@@ -183,22 +184,21 @@ class BitMasks:
 
 
 def _forced_arrows(rank: DynkinA, items: Sequence[tuple[int, KRFactor]]) -> list[Arrow]:
-    """The arrow of every ordered pair of (id, factor) items, in id order,
-    whose tensor product is reducible and highest-weight-ordered: same
-    coset, positive center gap, gap in the pair's reducibility set.
-    Colors must already lie in the diagram."""
+    """The arrow of every ordered pair of (id, factor) items whose tensor
+    product is reducible and highest-weight-ordered: same coset, positive
+    center gap, gap in the pair's reducibility set.  Every member of that
+    set is at most r + s + n - 1 (b - a + 2 min(a - 1, n - b) <= n - 1), so
+    only pairs in window_pairs' window len_a + max_len + n - 1 are tested.
+    Arrows come in (tail, head) id order; colors must lie in the diagram."""
     n = rank.n
+    factors = [f for _, f in items]
     arrows = []
-    for a, fa in items:
-        for b, fb in items:
-            delta = fa.center - fb.center
-            if (
-                delta > 0
-                and fa.coset == fb.coset
-                and reducible(delta, fa.color, fb.color, fa.length, fb.length, 1, n)
-            ):
-                arrows.append(Arrow(a, b, delta))
-    return arrows
+    for k, l in window_pairs(factors, attrgetter("coset"), n - 1):
+        fa, fb = factors[k], factors[l]
+        delta = fa.center - fb.center
+        if reducible(delta, fa.color, fb.color, fa.length, fb.length, 1, n):
+            arrows.append(Arrow(items[k][0], items[l][0], delta))
+    return sorted(arrows)
 
 
 def _graph_from_factors(rank: DynkinA, factors: tuple[KRFactor, ...]) -> FactGraph:
@@ -427,16 +427,26 @@ def partial_order(g: FactGraph) -> frozenset[tuple[int, int]]:
 
 def is_totally_ordered(g: FactGraph) -> bool:
     """True iff every pair of vertices is comparable; disconnected graphs
-    are never totally ordered."""
+    are never totally ordered.  Kahn's topological sort decides it in
+    O(V + E): the order is total iff every step has exactly one ready
+    vertex.  Raises CyclicGraph when the sort cannot reach every vertex."""
     ids = g.ids()
     if len(ids) <= 1:
         return True
-    order = partial_order(g)
-    for k, u in enumerate(ids):
-        for w in ids[k + 1 :]:
-            if (u, w) not in order and (w, u) not in order:
-                return False
-    return True
+    indegree = {v: len(g.in_adj[v]) for v in ids}
+    ready = [v for v in ids if not indegree[v]]
+    chain, left = True, len(ids)
+    while ready:
+        chain = chain and len(ready) == 1
+        u = ready.pop()
+        left -= 1
+        for w in g.out_adj[u]:
+            indegree[w] -= 1
+            if not indegree[w]:
+                ready.append(w)
+    if left:
+        raise CyclicGraph(f"{left} vertices lie on or below an oriented cycle")
+    return chain
 
 
 def sinks(g: FactGraph) -> frozenset[int]:

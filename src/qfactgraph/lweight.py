@@ -10,7 +10,8 @@ from __future__ import annotations
 import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Sequence
+from operator import attrgetter
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .dynkin import DynkinA, reducible
 from .errors import InternalInvariantViolation, NonPositiveLength, PolySyntaxError
@@ -86,30 +87,47 @@ def roots_of(f: KRFactor) -> tuple[int, ...]:
     return tuple(f.center - f.length + 1 + 2 * p for p in range(f.length))
 
 
-def interacting_pairs(factors: Sequence[KRFactor]) -> Iterator[tuple[int, int]]:
+def window_pairs(
+    factors: Sequence[KRFactor], group: Callable[[KRFactor], Hashable], slack: int
+) -> Iterator[tuple[int, int]]:
+    """Every unordered pair of same-group factors whose center gap is at
+    most len_k + max_len + slack, once, as indices (k, l) with
+    factors[k].center >= factors[l].center.  A type A_n reducibility set
+    ends at r + s + n - 1 (reducibility_bounds: b - a + 2 min(a - 1, n - b)
+    <= (b - a) + (a - 1) + (n - b)), and at r + s on one node, so slack
+    n - 1, or 0, keeps every reducible pair.  The factors are sorted by
+    (group, center) and each scans down until its group or window ends:
+    the cost is the sort plus the pairs in the window."""
+    reach = max((f.length for f in factors), default=0) + slack
+    keyed = sorted((group(f), f.center, k) for k, f in enumerate(factors))
+    for pos, (key, center, k) in enumerate(keyed):
+        floor = center - factors[k].length - reach
+        for low in range(pos - 1, -1, -1):
+            low_key, low_center, l = keyed[low]
+            if low_key != key or low_center < floor:
+                break
+            yield k, l
+
+
+def interacting_pairs(factors: Sequence[KRFactor]) -> list[tuple[int, int]]:
     """Index pairs k < l of same-color, same-coset factors whose strings
     interact: their center gap lies in the single-node reducibility set
     {r + s - 2p : 0 <= p < min(r, s)}, i.e. the strings overlap without
-    nesting or abut with a gap of one step.  Pairs come in lexicographic
-    order."""
-    # Each bucket holds its indices in descending order, so k is the last
-    # entry of its bucket when it is reached and the rest come after it.
-    buckets: dict[tuple[int, int], list[int]] = {}
-    for k in range(len(factors) - 1, -1, -1):
-        buckets.setdefault((factors[k].color, factors[k].coset), []).append(k)
-    for k, a in enumerate(factors):
-        rest = buckets[a.color, a.coset]
-        rest.pop()
+    nesting or abut with a gap of one step.  Every member is at most
+    r + s, so only pairs in window_pairs' window len_k + max_len are
+    tested.  Pairs come in lexicographic order."""
+    pairs = []
+    for k, l in window_pairs(factors, attrgetter("color", "coset"), 0):
+        a, b = factors[k], factors[l]
         i = a.color
-        for l in reversed(rest):
-            b = factors[l]
-            if reducible(abs(a.center - b.center), i, i, a.length, b.length, i, i):
-                yield k, l
+        if reducible(a.center - b.center, i, i, a.length, b.length, i, i):
+            pairs.append((min(k, l), max(k, l)))
+    return sorted(pairs)
 
 
 def is_q_factorization(p: DrinfeldPoly) -> bool:
     """True iff no same-color, same-coset pair of factors interacts."""
-    return next(interacting_pairs(p.factors), None) is None
+    return not interacting_pairs(p.factors)
 
 
 def q_factorize(p: DrinfeldPoly) -> DrinfeldPoly:

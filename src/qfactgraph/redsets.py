@@ -46,8 +46,8 @@ class RSet:
         )
 
     @property
-    def members(self) -> tuple[int, ...]:
-        return tuple(range(self.lo, self.hi + 1, 2))
+    def members(self) -> range:
+        return range(self.lo, self.hi + 1, 2)
 
     @property
     def params(self) -> tuple:

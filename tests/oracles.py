@@ -13,12 +13,18 @@ cut builds both sides as subgraphs and walks them.
 ``q_factorize`` and ``_longest_run`` are the root-expanding run peeling
 the endpoint sweep replaced, copied unchanged: every root of every string
 goes into a multiset, and the longest step-2 run is peeled off repeatedly.
+
+``interacting_pairs``, ``_forced_arrows`` and ``is_totally_ordered`` are
+the pair loops and the order check the center-window scan and the
+topological sort replaced, copied unchanged: every same-bucket pair, or
+every ordered pair, is tested, and the order check builds the whole
+partial order by DFS and compares every pair of vertices.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from typing import Iterator, Iterable
+from typing import Iterator, Iterable, Sequence
 
 from qfactgraph import (
     Arrow,
@@ -42,12 +48,13 @@ from qfactgraph import (
     connected_components,
     is_monotonic_line,
     is_q_factorization,
-    is_totally_ordered,
     kr_dual_pair_simple,
+    partial_order,
     roots_of,
     subgraph,
     to_polynomial,
 )
+from qfactgraph.dynkin import reducible
 from qfactgraph.fgraph import ancestors, descendants
 from qfactgraph.primality import CutWitness, DualCutWitness
 from qfactgraph.fgraph import _LEVELS, ValidationFailure, ValidationReport
@@ -471,3 +478,57 @@ def q_factorize(p: DrinfeldPoly) -> DrinfeldPoly:
     if not is_q_factorization(result):
         raise InternalInvariantViolation("run peeling produced interacting strings")
     return result
+
+
+def interacting_pairs(factors: Sequence[KRFactor]) -> Iterator[tuple[int, int]]:
+    """Index pairs k < l of same-color, same-coset factors whose strings
+    interact: their center gap lies in the single-node reducibility set
+    {r + s - 2p : 0 <= p < min(r, s)}, i.e. the strings overlap without
+    nesting or abut with a gap of one step.  Pairs come in lexicographic
+    order."""
+    # Each bucket holds its indices in descending order, so k is the last
+    # entry of its bucket when it is reached and the rest come after it.
+    buckets: dict[tuple[int, int], list[int]] = {}
+    for k in range(len(factors) - 1, -1, -1):
+        buckets.setdefault((factors[k].color, factors[k].coset), []).append(k)
+    for k, a in enumerate(factors):
+        rest = buckets[a.color, a.coset]
+        rest.pop()
+        i = a.color
+        for l in reversed(rest):
+            b = factors[l]
+            if reducible(abs(a.center - b.center), i, i, a.length, b.length, i, i):
+                yield k, l
+
+
+def _forced_arrows(rank: DynkinA, items: Sequence[tuple[int, KRFactor]]) -> list[Arrow]:
+    """The arrow of every ordered pair of (id, factor) items, in id order,
+    whose tensor product is reducible and highest-weight-ordered: same
+    coset, positive center gap, gap in the pair's reducibility set.
+    Colors must already lie in the diagram."""
+    n = rank.n
+    arrows = []
+    for a, fa in items:
+        for b, fb in items:
+            delta = fa.center - fb.center
+            if (
+                delta > 0
+                and fa.coset == fb.coset
+                and reducible(delta, fa.color, fb.color, fa.length, fb.length, 1, n)
+            ):
+                arrows.append(Arrow(a, b, delta))
+    return arrows
+
+
+def is_totally_ordered(g: FactGraph) -> bool:
+    """True iff every pair of vertices is comparable; disconnected graphs
+    are never totally ordered."""
+    ids = g.ids()
+    if len(ids) <= 1:
+        return True
+    order = partial_order(g)
+    for k, u in enumerate(ids):
+        for w in ids[k + 1 :]:
+            if (u, w) not in order and (w, u) not in order:
+                return False
+    return True

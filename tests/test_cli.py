@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import json
 import time
+import tracemalloc
 from io import StringIO
 
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, given, settings
 
-from qfactgraph.cli import run
+from qfactgraph import DynkinA, rset, rset_restricted
+from qfactgraph.cli import _write_int_list, run
 
 
 def invoke(*argv, stdin_text: str | None = None):
@@ -218,6 +220,40 @@ def test_factorize_merges_abutting_long_strings():
         "factorize", "--rank", "1", "1:-1000000000:1000000000 1:1000000000:1000000000"
     )
     assert code == 0 and text == "1:0:2000000000\n"
+
+
+def test_rset_output_is_json_dumps_of_the_members():
+    # Sets of 1 to 6,000 members, across the chunk boundaries of the writer.
+    d = DynkinA(5)
+    for r, s in ((1, 1), (3, 3), (2, 7), (1024, 1024), (1025, 2000), (6000, 6000)):
+        for i, j in ((1, 1), (2, 4), (5, 3)):
+            code, text = invoke("rset", str(i), str(j), str(r), str(s), "--rank", "5")
+            assert code == 0 and text == json.dumps(list(rset(d, i, j, r, s).members)) + "\n"
+    code, text = invoke("rset", "2", "3", "4", "9", "--rank", "5", "--interval", "2", "4")
+    expected = rset_restricted(d, 2, 3, 4, 9, range(2, 5)).members
+    assert code == 0 and text == json.dumps(list(expected)) + "\n"
+    for values in (range(0), range(5, 3, 2), range(7, 8), range(-3, 2050, 2)):
+        out = StringIO()
+        _write_int_list(values, out)
+        assert out.getvalue() == json.dumps(list(values)) + "\n"
+
+
+class _Discard:
+    def write(self, text: str) -> int:
+        return len(text)
+
+
+def test_rset_output_is_streamed():
+    # 10^5 members print as 0.74 MB; building them as a tuple and one
+    # string peaked at about 8 MB, the chunked writer at about 0.13 MB.
+    run(["rset", "1", "1", "1", "1", "--rank", "1"], stdout=_Discard())  # warm imports
+    tracemalloc.start()
+    try:
+        code = run(["rset", "1", "1", "100000", "100000", "--rank", "1"], stdout=_Discard())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and peak < 512 * 1024
 
 
 def test_rset_interval_is_not_materialized():

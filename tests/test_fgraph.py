@@ -162,6 +162,22 @@ def test_partial_order_rejects_cycles():
         partial_order(g)
 
 
+def test_is_totally_ordered_rejects_cycles():
+    # The 2-cycle above, alone and below a source: the topological sort
+    # stalls on it either way.
+    cycle = FactGraph(
+        A2,
+        {0: Vertex(1, 0, 1), 1: Vertex(2, 0, 1)},
+        (Arrow(0, 1, 1), Arrow(1, 0, 1)),
+    )
+    below = FactGraph(
+        A2, {**cycle.vertices, 2: Vertex(1, 2, 1)}, (*cycle.arrows, Arrow(2, 0, 2))
+    )
+    for g in (cycle, below):
+        with pytest.raises(CyclicGraph):
+            is_totally_ordered(g)
+
+
 def test_is_totally_ordered_examples(two_source_graph, snake_graph):
     assert is_totally_ordered(build_graph(tournament_family(4, 8)))
     assert is_totally_ordered(snake_graph) and not is_tournament(snake_graph)

@@ -1,6 +1,7 @@
 """Differential tests: the reducibility kernel, the shared construction
-loop, validate, the bitmask cut engine and the endpoint-sweep
-q-factorization against the reference implementations in oracles.py."""
+loop, validate, the bitmask cut engine, the endpoint-sweep
+q-factorization, the center-window pair scans and the topological order
+check against the reference implementations in oracles.py."""
 
 from __future__ import annotations
 
@@ -21,10 +22,12 @@ from qfactgraph import (
     build_graph,
     classify,
     classify_cut,
+    connected_components,
     cut_reducible_extremal,
     cuts,
     dual_neighborhood_certificate,
     is_q_factorization,
+    is_totally_ordered,
     kr_pair_relation,
     q_factorize,
     rset,
@@ -34,6 +37,8 @@ from qfactgraph import (
     validate,
 )
 from qfactgraph.dynkin import reducibility_bounds, reducible
+from qfactgraph.fgraph import _forced_arrows
+from qfactgraph.lweight import interacting_pairs
 
 COMMON = dict(
     deadline=None,
@@ -283,3 +288,99 @@ def test_string_soup_reaches_merges_and_recuts():
         out = oracles.q_factorize(poly)
         seen["merge" if len(out) < len(poly) else "recut" if out != poly else "same"] += 1
     assert seen["merge"] >= 30 and seen["recut"] >= 10 and seen["same"] >= 30
+
+
+def window_soup(rng: random.Random) -> tuple[DynkinA, tuple[KRFactor, ...]]:
+    """10-40 factors over A_1-A_10, of lengths 1-4 and cosets 0-2.  After
+    the first, a factor mostly sits near an earlier one, on either side,
+    at a center gap within two steps of one of three window edges: the
+    pair's reducibility bound r + s + n - 1 (often with colors i + j =
+    n + 1, where that bound is reached), the scan's window len_a + 4 +
+    n - 1, or the single-node bound r + s at the earlier factor's color.
+    It mostly keeps the earlier factor's coset; the rest land anywhere."""
+    d = DynkinA(rng.randint(1, 10))
+    n = d.n
+    factors: list[KRFactor] = []
+    for _ in range(rng.randint(10, 40)):
+        color, length, coset = rng.randint(1, n), rng.randint(1, 4), rng.randint(0, 2)
+        if not factors or rng.randrange(5) == 0:
+            factors.append(KRFactor(color, rng.randint(-60, 60), length, coset))
+            continue
+        base = rng.choice(factors)
+        mode = rng.randrange(3)
+        if mode == 0:
+            if rng.randrange(2):
+                color = n + 1 - base.color
+            edge = base.length + length + n - 1
+        elif mode == 1:
+            edge = base.length + 4 + n - 1
+        else:
+            color, edge = base.color, base.length + length
+        if rng.randrange(5):
+            coset = base.coset
+        center = base.center + rng.choice((-1, 1)) * (edge + rng.randint(-2, 2))
+        factors.append(KRFactor(color, center, length, coset))
+    return d, tuple(factors)
+
+
+def grown_size(rng: random.Random) -> int:
+    # Grown graphs past four vertices are seldom totally ordered.
+    return rng.choice((3, 4, rng.randint(5, 40)))
+
+
+@settings(max_examples=500, **COMMON)
+@given(st.integers(0, 2**32 - 1))
+def test_window_scans_match_oracle(seed):
+    rng = random.Random(seed)
+    d, factors = window_soup(rng)
+    # Unsorted factors keep positions out of center order.
+    items = list(enumerate(factors))
+    assert _forced_arrows(d, items) == oracles._forced_arrows(d, items)
+    assert interacting_pairs(factors) == list(oracles.interacting_pairs(factors))
+    poly = DrinfeldPoly(d, factors)
+    g = build_graph(poly)
+    assert g == oracles._graph_from_factors(d, poly.factors)
+    for comp in connected_components(g):
+        assert is_totally_ordered(comp) == oracles.is_totally_ordered(comp)
+    grown = grown_graph(d, grown_size(rng), "relabel", rng)
+    assert is_totally_ordered(grown) == oracles.is_totally_ordered(grown)
+    # Relabeled ids put the failure lists in an order the positions do not.
+    new = rng.sample(range(-50, 100), len(factors))
+    relabeled = FactGraph(
+        d,
+        {new[v]: f for v, f in g.vertices.items()},
+        tuple(Arrow(new[a.tail], new[a.head], a.exp) for a in g.arrows),
+    )
+    mutated = mutate(relabeled, rng, rng.randint(0, 4))
+    for level in LEVELS:
+        assert validate(mutated, level) == oracles.validate(mutated, level)
+
+
+def test_window_soup_reaches_the_window_edges():
+    # Guards the differential test above against vacuity: its inputs hold
+    # reducible pairs at gap exactly r + s + n - 1 with the lower factor
+    # of the greatest length (on the scan's window edge), interacting
+    # same-color pairs at gap exactly r + s, and grown graphs and
+    # components on both sides of the order check.
+    rng = random.Random(11)
+    seen = Counter()
+    for _ in range(100):
+        d, factors = window_soup(rng)
+        n, top = d.n, max(f.length for f in factors)
+        for a in oracles._forced_arrows(d, list(enumerate(factors))):
+            fa, fb = factors[a.tail], factors[a.head]
+            if a.exp == fa.length + fb.length + n - 1:
+                seen["bound"] += 1
+                seen["window edge"] += fb.length == top
+        for k, l in oracles.interacting_pairs(factors):
+            seen["abut"] += abs(factors[k].center - factors[l].center) == (
+                factors[k].length + factors[l].length
+            )
+        g = build_graph(DrinfeldPoly(d, factors))
+        for comp in connected_components(g):
+            seen[f"component total {oracles.is_totally_ordered(comp)}"] += len(comp.vertices) > 2
+        grown = grown_graph(d, grown_size(rng), "relabel", rng)
+        seen[f"grown total {oracles.is_totally_ordered(grown)}"] += len(grown.vertices) > 2
+    assert seen["bound"] >= 100 and seen["window edge"] >= 30 and seen["abut"] >= 30
+    for side in ("component", "grown"):
+        assert seen[f"{side} total True"] >= 10 and seen[f"{side} total False"] >= 10, seen
