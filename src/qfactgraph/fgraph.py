@@ -99,29 +99,18 @@ class FactGraph:
 
     @cached_property
     def out_adj(self) -> Mapping[int, tuple[int, ...]]:
-        out: dict[int, list[int]] = {v: [] for v in self.vertices}
-        for a in self.arrows:
-            out[a.tail].append(a.head)
-        return MappingProxyType({v: tuple(sorted(ws)) for v, ws in out.items()})
+        """Read-only view of masks.out: the heads of each vertex's arrows."""
+        return MappingProxyType(dict(zip(self.masks.ids, map(self.masks.members, self.masks.out))))
 
     @cached_property
     def in_adj(self) -> Mapping[int, tuple[int, ...]]:
-        out: dict[int, list[int]] = {v: [] for v in self.vertices}
-        for a in self.arrows:
-            out[a.head].append(a.tail)
-        return MappingProxyType({v: tuple(sorted(ws)) for v, ws in out.items()})
-
-    @cached_property
-    def undirected_adj(self) -> Mapping[int, tuple[int, ...]]:
-        out: dict[int, set[int]] = {v: set() for v in self.vertices}
-        for a in self.arrows:
-            out[a.tail].add(a.head)
-            out[a.head].add(a.tail)
-        return MappingProxyType({v: tuple(sorted(ws)) for v, ws in out.items()})
+        """Read-only view of masks.inn: the tails of each vertex's arrows."""
+        return MappingProxyType(dict(zip(self.masks.ids, map(self.masks.members, self.masks.inn))))
 
     @cached_property
     def masks(self) -> BitMasks:
-        """The adjacency as int masks, built on first use by the cut stage."""
+        """The adjacency as int masks, built on first use; every order and
+        cut algorithm of the package reads the graph through them."""
         return BitMasks(self)
 
 
@@ -132,9 +121,32 @@ class Cut:
     crossing: tuple[Arrow, ...]
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """The indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _closure(step: tuple[int, ...], start: int, side: int) -> int:
+    """The mask start and every vertex of side reachable from it along the
+    step masks (out: descendants, inn: ancestors, nbr: the component)
+    without leaving side."""
+    seen = frontier = start
+    while frontier:
+        reach = 0
+        for j in _bits(frontier):
+            reach |= step[j]
+        frontier = reach & side & ~seen
+        seen |= frontier
+    return seen
+
+
 class BitMasks:
-    """A graph's adjacency on int masks, for the cut stage: vertex
-    ``ids[k]`` (the k-th of ``g.ids()``) is bit k.
+    """A graph's adjacency on int masks: vertex ``ids[k]`` (the k-th of
+    ``g.ids()``) is bit k.  They back the whole order structure (components,
+    reachability, the order check, the Hasse reduction) and the cut stage.
 
     ``out[k]`` is the mask of the heads of the arrows leaving ``ids[k]``,
     ``inn[k]`` that of the tails of the arrows entering it and ``nbr[k]``
@@ -165,6 +177,10 @@ class BitMasks:
         for v in vertices:
             mask |= 1 << self.index[v]
         return mask
+
+    def members(self, mask: int) -> tuple[int, ...]:
+        """The vertex ids of the bits of mask, ascending."""
+        return tuple(self.ids[k] for k in _bits(mask))
 
     def lefts(self, max_vertices: int) -> range:
         """The left sides of the cuts, in the order cuts() yields them: the
@@ -351,78 +367,73 @@ def subgraph(g: FactGraph, ids) -> FactGraph:
     return FactGraph(g.rank, vertices, arrows)
 
 
-def _component_index(g: FactGraph) -> dict[int, int]:
-    comp: dict[int, int] = {}
-    idx = 0
-    for start in g.ids():
-        if start in comp:
-            continue
-        stack = [start]
-        comp[start] = idx
-        while stack:
-            u = stack.pop()
-            for w in g.undirected_adj[u]:
-                if w not in comp:
-                    comp[w] = idx
-                    stack.append(w)
-        idx += 1
-    return comp
-
-
 def connected_components(g: FactGraph) -> list[FactGraph]:
-    comp = _component_index(g)
-    groups: dict[int, list[int]] = {}
-    for v, c in comp.items():
-        groups.setdefault(c, []).append(v)
-    return [subgraph(g, groups[c]) for c in sorted(groups)]
+    """The components as induced subgraphs, by smallest id: each is the
+    closure over nbr of the lowest vertex not yet assigned."""
+    m = g.masks
+    comps, rest = [], m.full
+    while rest:
+        comp = _closure(m.nbr, rest & -rest, m.full)
+        comps.append(subgraph(g, m.members(comp)))
+        rest ^= comp
+    return comps
+
+
+def _strict_closure(g: FactGraph, step: tuple[int, ...], v: int) -> frozenset[int]:
+    g.vertex(v)
+    m = g.masks
+    k = m.index[v]
+    return frozenset(m.members(_closure(step, step[k], m.full) & ~(1 << k)))
 
 
 def descendants(g: FactGraph, v: int) -> frozenset[int]:
     """Vertices strictly below v: reachable from v along arrows."""
-    g.vertex(v)
-    seen: set[int] = set()
-    stack = [v]
-    while stack:
-        u = stack.pop()
-        for w in g.out_adj[u]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    seen.discard(v)
-    return frozenset(seen)
+    return _strict_closure(g, g.masks.out, v)
 
 
 def ancestors(g: FactGraph, v: int) -> frozenset[int]:
     """Vertices strictly above v: those with a directed path into v."""
-    g.vertex(v)
-    seen: set[int] = set()
-    stack = [v]
-    while stack:
-        u = stack.pop()
-        for w in g.in_adj[u]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    seen.discard(v)
-    return frozenset(seen)
+    return _strict_closure(g, g.masks.inn, v)
+
+
+def _topological(m: BitMasks) -> tuple[list[int], bool]:
+    """Kahn's topological sort of the bits: the order, and whether every
+    step had exactly one ready vertex.  Raises CyclicGraph when the sort
+    cannot reach every vertex."""
+    indegree = [i.bit_count() for i in m.inn]
+    ready = [k for k, d in enumerate(indegree) if not d]
+    order, chain = [], True
+    while ready:
+        chain = chain and len(ready) == 1
+        k = ready.pop()
+        order.append(k)
+        for j in _bits(m.out[k]):
+            indegree[j] -= 1
+            if not indegree[j]:
+                ready.append(j)
+    left = len(indegree) - len(order)
+    if left:
+        raise CyclicGraph(f"{left} vertices lie on or below an oriented cycle")
+    return order, chain
+
+
+def _below(m: BitMasks) -> list[int]:
+    """below[k]: the mask of the vertices strictly below bit k, in one pass
+    in reverse topological order.  Every out-neighbour of k comes after k
+    in that order, so its below mask is complete when k is reached."""
+    below = [0] * len(m.ids)
+    for k in reversed(_topological(m)[0]):
+        for w in _bits(m.out[k]):
+            below[k] |= 1 << w | below[w]
+    return below
 
 
 def partial_order(g: FactGraph) -> frozenset[tuple[int, int]]:
     """Strict order induced by arrows: pairs (u, w) with u above w."""
-    relation: set[tuple[int, int]] = set()
-    for v in g.ids():
-        below = set()
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for w in g.out_adj[u]:
-                if w == v:
-                    raise CyclicGraph(f"vertex {v} lies on an oriented cycle")
-                if w not in below:
-                    below.add(w)
-                    stack.append(w)
-        relation.update((v, w) for w in below)
-    return frozenset(relation)
+    m = g.masks
+    return frozenset(
+        (u, w) for u, mask in zip(m.ids, _below(m)) for w in m.members(mask)
+    )
 
 
 def is_totally_ordered(g: FactGraph) -> bool:
@@ -430,62 +441,40 @@ def is_totally_ordered(g: FactGraph) -> bool:
     are never totally ordered.  Kahn's topological sort decides it in
     O(V + E): the order is total iff every step has exactly one ready
     vertex.  Raises CyclicGraph when the sort cannot reach every vertex."""
-    ids = g.ids()
-    if len(ids) <= 1:
-        return True
-    indegree = {v: len(g.in_adj[v]) for v in ids}
-    ready = [v for v in ids if not indegree[v]]
-    chain, left = True, len(ids)
-    while ready:
-        chain = chain and len(ready) == 1
-        u = ready.pop()
-        left -= 1
-        for w in g.out_adj[u]:
-            indegree[w] -= 1
-            if not indegree[w]:
-                ready.append(w)
-    if left:
-        raise CyclicGraph(f"{left} vertices lie on or below an oriented cycle")
-    return chain
+    return len(g.vertices) <= 1 or _topological(g.masks)[1]
 
 
 def sinks(g: FactGraph) -> frozenset[int]:
-    return frozenset(v for v in g.ids() if not g.out_adj[v])
+    m = g.masks
+    return frozenset(v for v, o in zip(m.ids, m.out) if not o)
 
 
 def sources(g: FactGraph) -> frozenset[int]:
-    return frozenset(v for v in g.ids() if not g.in_adj[v])
+    m = g.masks
+    return frozenset(v for v, i in zip(m.ids, m.inn) if not i)
 
 
 def is_tournament(g: FactGraph) -> bool:
-    ids = g.ids()
-    amap = g.arrow_map
-    for k, u in enumerate(ids):
-        for w in ids[k + 1 :]:
-            if (u, w) not in amap and (w, u) not in amap:
-                return False
-    return True
+    m = g.masks
+    return all(x | 1 << k == m.full for k, x in enumerate(m.nbr))
 
 
 def is_tree(g: FactGraph) -> bool:
-    ids = g.ids()
-    if not ids:
-        return False
-    comp = _component_index(g)
-    if max(comp.values()) != 0:
-        return False
-    return len(g.arrows) == len(ids) - 1
+    m = g.masks
+    connected = bool(m.ids) and _closure(m.nbr, 1, m.full) == m.full
+    return connected and len(g.arrows) == len(m.ids) - 1
 
 
 def is_line(g: FactGraph) -> bool:
     """A tree with no vertex of undirected valence >= 3."""
-    return is_tree(g) and all(len(g.undirected_adj[v]) <= 2 for v in g.ids())
+    return is_tree(g) and all(x.bit_count() <= 2 for x in g.masks.nbr)
 
 
 def is_monotonic_line(g: FactGraph) -> bool:
     """A line all of whose arrows point the same way along it."""
+    m = g.masks
     return is_line(g) and all(
-        len(g.out_adj[v]) <= 1 and len(g.in_adj[v]) <= 1 for v in g.ids()
+        o.bit_count() <= 1 and i.bit_count() <= 1 for o, i in zip(m.out, m.inn)
     )
 
 
@@ -521,15 +510,15 @@ def color_dual(g: FactGraph) -> FactGraph:
 
 
 def transitive_reduction(g: FactGraph) -> tuple[Arrow, ...]:
-    """Minimal arrow subset with the same transitive closure."""
-    partial_order(g)  # raises CyclicGraph on bad input
-    desc = {v: descendants(g, v) for v in g.ids()}
+    """Minimal arrow subset with the same transitive closure: an arrow
+    t->h is redundant iff h lies below another out-neighbour of t."""
+    m = g.masks
+    below = _below(m)  # raises CyclicGraph on bad input
     keep = []
     for a in g.arrows:
-        redundant = any(
-            a.head in desc[w] for w in g.out_adj[a.tail] if w != a.head
-        )
-        if not redundant:
+        h = m.index[a.head]
+        others = m.out[m.index[a.tail]] & ~(1 << h)
+        if not any(below[w] >> h & 1 for w in _bits(others)):
             keep.append(a)
     return tuple(keep)
 

@@ -9,7 +9,7 @@ per-cut classification report.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .dynkin import DynkinA
 from .errors import (
@@ -24,6 +24,8 @@ from .fgraph import (
     BitMasks,
     Cut,
     FactGraph,
+    _bits,
+    _closure,
     connected_components,
     is_line,
     is_monotonic_line,
@@ -103,14 +105,6 @@ def _check_cut(g: FactGraph, cut: Cut) -> None:
         raise InvalidCut("cut sides must both be nonempty")
 
 
-def _bits(mask: int) -> Iterator[int]:
-    """The indices of the set bits of mask, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _passes_extremal(m: BitMasks, k: int, side: int) -> bool:
     """Vertex bit k is extremal in its side, and isolated there if it is
     extremal in the whole graph."""
@@ -143,21 +137,12 @@ def cut_reducible_extremal(g: FactGraph, cut: Cut) -> CutWitness | None:
 
 
 def cut_arrowless_simple(g: FactGraph, cut: Cut) -> bool:
-    """True iff no arrow crosses the cut; the cut then factors the module."""
-    return not cut.crossing
-
-
-def _closure(step: tuple[int, ...], k: int, side: int) -> int:
-    """Bit k and every vertex of side reachable from it along the step
-    masks (out: descendants, inn: ancestors) without leaving side."""
-    seen = frontier = 1 << k
-    while frontier:
-        reach = 0
-        for j in _bits(frontier):
-            reach |= step[j]
-        frontier = reach & side & ~seen
-        seen |= frontier
-    return seen
+    """True iff no arrow of the graph crosses the cut; the cut then factors
+    the module.  The cut's own crossing field is not trusted."""
+    _check_cut(g, cut)
+    m = g.masks
+    right = m.of(cut.right)
+    return not any(m.nbr[k] & right for k in _bits(m.full ^ right))
 
 
 class _DualRows:
@@ -204,15 +189,15 @@ def _dual_base(
             # The monotone neighborhoods of the base vertices include the
             # bases; only the base pair itself is exempt from the test.
             if m.out[kr] >> kl & 1:
-                upper = _closure(m.inn, kl, left)
-                lower = _closure(m.out, kr, right)
+                upper = _closure(m.inn, 1 << kl, left)
+                lower = _closure(m.out, 1 << kr, right)
                 if rows.all_simple(upper, lower, kl, kr):
                     return kl, kr, 1, upper, lower
             if m.out[kl] >> kr & 1:
                 # Mirrored condition: the left member is dualized, which is
                 # the same simplicity test with the arguments swapped.
-                upper = _closure(m.inn, kr, right)
-                lower = _closure(m.out, kl, left)
+                upper = _closure(m.inn, 1 << kr, right)
+                lower = _closure(m.out, 1 << kl, left)
                 if rows.all_simple(upper, lower, kr, kl):
                     return kl, kr, 2, upper, lower
     return None
@@ -259,7 +244,6 @@ def _extremal_class(g: FactGraph, cut: Cut, left: int) -> CutClass:
 def classify_cut(g: FactGraph, cut: Cut) -> CutClass:
     if cut_arrowless_simple(g, cut):
         return CutClass(cut, "ReducibleByArrowless")
-    _check_cut(g, cut)
     return _extremal_class(g, cut, g.masks.of(cut.left))
 
 

@@ -19,17 +19,24 @@ the pair loops and the order check the center-window scan and the
 topological sort replaced, copied unchanged: every same-bucket pair, or
 every ordered pair, is tested, and the order check builds the whole
 partial order by DFS and compares every pair of vertices.
+
+``descendants`` through ``transitive_reduction`` are the order structure
+the int masks of ``BitMasks`` replaced, copied unchanged but for one
+thing: they read the three dict adjacencies ``FactGraph`` used to cache
+(``_out_adj``, ``_in_adj``, ``_undirected_adj``, built here from the
+arrows), so they share nothing with the masks they check.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from typing import Iterator, Iterable, Sequence
+from typing import Iterator, Iterable, Mapping, Sequence
 
 from qfactgraph import (
     Arrow,
     Cut,
     CutClass,
+    CyclicGraph,
     DrinfeldPoly,
     DualCertificate,
     DynkinA,
@@ -45,17 +52,13 @@ from qfactgraph import (
     TooManyVertices,
     Verdict,
     Vertex,
-    connected_components,
-    is_monotonic_line,
     is_q_factorization,
     kr_dual_pair_simple,
-    partial_order,
     roots_of,
     subgraph,
     to_polynomial,
 )
 from qfactgraph.dynkin import reducible
-from qfactgraph.fgraph import ancestors, descendants
 from qfactgraph.primality import CutWitness, DualCutWitness
 from qfactgraph.fgraph import _LEVELS, ValidationFailure, ValidationReport
 from qfactgraph.redsets import SIMPLE, _check_lengths
@@ -295,11 +298,11 @@ def _check_cut(g: FactGraph, cut: Cut) -> None:
 
 
 def _extremal_in(g: FactGraph, v: int) -> bool:
-    return not g.out_adj[v] or not g.in_adj[v]
+    return not _out_adj(g)[v] or not _in_adj(g)[v]
 
 
 def _isolated_in(g: FactGraph, v: int) -> bool:
-    return not g.out_adj[v] and not g.in_adj[v]
+    return not _out_adj(g)[v] and not _in_adj(g)[v]
 
 
 def cut_reducible_extremal(g: FactGraph, cut: Cut) -> CutWitness | None:
@@ -532,3 +535,160 @@ def is_totally_ordered(g: FactGraph) -> bool:
             if (u, w) not in order and (w, u) not in order:
                 return False
     return True
+
+
+def _out_adj(g: FactGraph) -> Mapping[int, tuple[int, ...]]:
+    out: dict[int, list[int]] = {v: [] for v in g.vertices}
+    for a in g.arrows:
+        out[a.tail].append(a.head)
+    return {v: tuple(sorted(ws)) for v, ws in out.items()}
+
+
+def _in_adj(g: FactGraph) -> Mapping[int, tuple[int, ...]]:
+    out: dict[int, list[int]] = {v: [] for v in g.vertices}
+    for a in g.arrows:
+        out[a.head].append(a.tail)
+    return {v: tuple(sorted(ws)) for v, ws in out.items()}
+
+
+def _undirected_adj(g: FactGraph) -> Mapping[int, tuple[int, ...]]:
+    out: dict[int, set[int]] = {v: set() for v in g.vertices}
+    for a in g.arrows:
+        out[a.tail].add(a.head)
+        out[a.head].add(a.tail)
+    return {v: tuple(sorted(ws)) for v, ws in out.items()}
+
+
+def _component_index(g: FactGraph) -> dict[int, int]:
+    undirected_adj = _undirected_adj(g)
+    comp: dict[int, int] = {}
+    idx = 0
+    for start in g.ids():
+        if start in comp:
+            continue
+        stack = [start]
+        comp[start] = idx
+        while stack:
+            u = stack.pop()
+            for w in undirected_adj[u]:
+                if w not in comp:
+                    comp[w] = idx
+                    stack.append(w)
+        idx += 1
+    return comp
+
+
+def connected_components(g: FactGraph) -> list[FactGraph]:
+    comp = _component_index(g)
+    groups: dict[int, list[int]] = {}
+    for v, c in comp.items():
+        groups.setdefault(c, []).append(v)
+    return [subgraph(g, groups[c]) for c in sorted(groups)]
+
+
+def descendants(g: FactGraph, v: int) -> frozenset[int]:
+    """Vertices strictly below v: reachable from v along arrows."""
+    g.vertex(v)
+    out_adj = _out_adj(g)
+    seen: set[int] = set()
+    stack = [v]
+    while stack:
+        u = stack.pop()
+        for w in out_adj[u]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    seen.discard(v)
+    return frozenset(seen)
+
+
+def ancestors(g: FactGraph, v: int) -> frozenset[int]:
+    """Vertices strictly above v: those with a directed path into v."""
+    g.vertex(v)
+    in_adj = _in_adj(g)
+    seen: set[int] = set()
+    stack = [v]
+    while stack:
+        u = stack.pop()
+        for w in in_adj[u]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    seen.discard(v)
+    return frozenset(seen)
+
+
+def partial_order(g: FactGraph) -> frozenset[tuple[int, int]]:
+    """Strict order induced by arrows: pairs (u, w) with u above w."""
+    out_adj = _out_adj(g)
+    relation: set[tuple[int, int]] = set()
+    for v in g.ids():
+        below = set()
+        stack = [v]
+        while stack:
+            u = stack.pop()
+            for w in out_adj[u]:
+                if w == v:
+                    raise CyclicGraph(f"vertex {v} lies on an oriented cycle")
+                if w not in below:
+                    below.add(w)
+                    stack.append(w)
+        relation.update((v, w) for w in below)
+    return frozenset(relation)
+
+
+def sinks(g: FactGraph) -> frozenset[int]:
+    return frozenset(v for v in g.ids() if not _out_adj(g)[v])
+
+
+def sources(g: FactGraph) -> frozenset[int]:
+    return frozenset(v for v in g.ids() if not _in_adj(g)[v])
+
+
+def is_tournament(g: FactGraph) -> bool:
+    ids = g.ids()
+    amap = g.arrow_map
+    for k, u in enumerate(ids):
+        for w in ids[k + 1 :]:
+            if (u, w) not in amap and (w, u) not in amap:
+                return False
+    return True
+
+
+def is_tree(g: FactGraph) -> bool:
+    ids = g.ids()
+    if not ids:
+        return False
+    comp = _component_index(g)
+    if max(comp.values()) != 0:
+        return False
+    return len(g.arrows) == len(ids) - 1
+
+
+def is_line(g: FactGraph) -> bool:
+    """A tree with no vertex of undirected valence >= 3."""
+    undirected_adj = _undirected_adj(g)
+    return is_tree(g) and all(len(undirected_adj[v]) <= 2 for v in g.ids())
+
+
+def is_monotonic_line(g: FactGraph) -> bool:
+    """A line all of whose arrows point the same way along it."""
+    out_adj, in_adj = _out_adj(g), _in_adj(g)
+    return is_line(g) and all(
+        len(out_adj[v]) <= 1 and len(in_adj[v]) <= 1 for v in g.ids()
+    )
+
+
+def transitive_reduction(g: FactGraph) -> tuple[Arrow, ...]:
+    """Minimal arrow subset with the same transitive closure."""
+    partial_order(g)  # raises CyclicGraph on bad input
+    desc = {v: descendants(g, v) for v in g.ids()}
+    out_adj = _out_adj(g)
+    keep = []
+    for a in g.arrows:
+        redundant = any(
+            a.head in desc[w] for w in out_adj[a.tail] if w != a.head
+        )
+        if not redundant:
+            keep.append(a)
+    return tuple(keep)

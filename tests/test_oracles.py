@@ -1,7 +1,8 @@
 """Differential tests: the reducibility kernel, the shared construction
 loop, validate, the bitmask cut engine, the endpoint-sweep
-q-factorization, the center-window pair scans and the topological order
-check against the reference implementations in oracles.py."""
+q-factorization, the center-window pair scans, the topological order
+check and the mask-based order structure against the reference
+implementations in oracles.py."""
 
 from __future__ import annotations
 
@@ -10,15 +11,18 @@ from collections import Counter
 from dataclasses import replace
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import HealthCheck, given, settings
 
 import oracles
 from qfactgraph import (
     Arrow,
+    CyclicGraph,
     DrinfeldPoly,
     DynkinA,
     FactGraph,
     KRFactor,
+    Vertex,
     build_graph,
     classify,
     classify_cut,
@@ -26,18 +30,26 @@ from qfactgraph import (
     cut_reducible_extremal,
     cuts,
     dual_neighborhood_certificate,
+    is_line,
+    is_monotonic_line,
     is_q_factorization,
     is_totally_ordered,
+    is_tournament,
+    is_tree,
     kr_pair_relation,
+    partial_order,
     q_factorize,
     rset,
     rset_restricted,
     rset_same_node,
+    sinks,
+    sources,
     subgraph,
+    transitive_reduction,
     validate,
 )
 from qfactgraph.dynkin import reducibility_bounds, reducible
-from qfactgraph.fgraph import _forced_arrows
+from qfactgraph.fgraph import _forced_arrows, ancestors, descendants
 from qfactgraph.lweight import interacting_pairs
 
 COMMON = dict(
@@ -201,6 +213,28 @@ def grown_graph(d: DynkinA, size: int, mode: str, rng: random.Random) -> FactGra
     return g
 
 
+def assert_order_matches_oracle(g: FactGraph) -> None:
+    """The mask-based order structure of g equals the dict-adjacency DFS
+    versions in oracles.py, at every vertex where a function takes one."""
+    assert g.out_adj == oracles._out_adj(g) and g.in_adj == oracles._in_adj(g)
+    for v in g.ids():
+        assert descendants(g, v) == oracles.descendants(g, v)
+        assert ancestors(g, v) == oracles.ancestors(g, v)
+    assert connected_components(g) == oracles.connected_components(g)
+    assert partial_order(g) == oracles.partial_order(g)
+    assert transitive_reduction(g) == oracles.transitive_reduction(g)
+    for new, old in (
+        (sinks, oracles.sinks),
+        (sources, oracles.sources),
+        (is_tournament, oracles.is_tournament),
+        (is_tree, oracles.is_tree),
+        (is_line, oracles.is_line),
+        (is_monotonic_line, oracles.is_monotonic_line),
+        (is_totally_ordered, oracles.is_totally_ordered),
+    ):
+        assert new(g) == old(g), new.__name__
+
+
 @settings(max_examples=500, **COMMON)
 @given(
     st.integers(2, 7),
@@ -210,6 +244,7 @@ def grown_graph(d: DynkinA, size: int, mode: str, rng: random.Random) -> FactGra
 )
 def test_cut_engine_matches_oracle(rank, size, mode, seed):
     g = grown_graph(DynkinA(rank), size, mode, random.Random(seed))
+    assert_order_matches_oracle(g)
     expected = oracles.classify(g)
     assert classify(g) == expected
     old_cuts = list(oracles.cuts(g))
@@ -341,9 +376,9 @@ def test_window_scans_match_oracle(seed):
     g = build_graph(poly)
     assert g == oracles._graph_from_factors(d, poly.factors)
     for comp in connected_components(g):
-        assert is_totally_ordered(comp) == oracles.is_totally_ordered(comp)
+        assert_order_matches_oracle(comp)
     grown = grown_graph(d, grown_size(rng), "relabel", rng)
-    assert is_totally_ordered(grown) == oracles.is_totally_ordered(grown)
+    assert_order_matches_oracle(grown)
     # Relabeled ids put the failure lists in an order the positions do not.
     new = rng.sample(range(-50, 100), len(factors))
     relabeled = FactGraph(
@@ -361,7 +396,8 @@ def test_window_soup_reaches_the_window_edges():
     # reducible pairs at gap exactly r + s + n - 1 with the lower factor
     # of the greatest length (on the scan's window edge), interacting
     # same-color pairs at gap exactly r + s, and grown graphs and
-    # components on both sides of the order check.
+    # components on both sides of the order check, of the shape
+    # predicates and of the transitive reduction.
     rng = random.Random(11)
     seen = Counter()
     for _ in range(100):
@@ -381,6 +417,39 @@ def test_window_soup_reaches_the_window_edges():
             seen[f"component total {oracles.is_totally_ordered(comp)}"] += len(comp.vertices) > 2
         grown = grown_graph(d, grown_size(rng), "relabel", rng)
         seen[f"grown total {oracles.is_totally_ordered(grown)}"] += len(grown.vertices) > 2
+        for h in (*connected_components(g), grown):
+            if len(h.vertices) > 2:
+                for shape in (oracles.is_tournament, oracles.is_tree, oracles.is_monotonic_line):
+                    seen[f"{shape.__name__} {shape(h)}"] += 1
+                reduced = len(oracles.transitive_reduction(h)) < len(h.arrows)
+                seen[f"reduced {reduced}"] += 1
     assert seen["bound"] >= 100 and seen["window edge"] >= 30 and seen["abut"] >= 30
     for side in ("component", "grown"):
         assert seen[f"{side} total True"] >= 10 and seen[f"{side} total False"] >= 10, seen
+    for name in ("is_tournament", "is_tree", "is_monotonic_line", "reduced"):
+        assert seen[f"{name} True"] >= 5 and seen[f"{name} False"] >= 5, seen
+
+
+def test_order_structure_on_cycles():
+    # Hand-built graphs with oriented cycles: the 2-cycle, and a 3-cycle
+    # under a source with a tail below it.  The order functions raise, and
+    # reachability still matches the oracle at every vertex.
+    rank = DynkinA(2)
+    two = FactGraph(
+        rank, {0: Vertex(1, 0, 1), 1: Vertex(2, 0, 1)}, (Arrow(0, 1, 1), Arrow(1, 0, 1))
+    )
+    three = FactGraph(
+        rank,
+        {v: Vertex(1 + v % 2, v, 1) for v in range(5)},
+        (Arrow(0, 1, 1), Arrow(1, 2, 1), Arrow(2, 3, 1), Arrow(3, 1, 1), Arrow(3, 4, 1)),
+    )
+    for g in (two, three):
+        for order_function in (partial_order, is_totally_ordered, transitive_reduction):
+            with pytest.raises(CyclicGraph):
+                order_function(g)
+        with pytest.raises(CyclicGraph):
+            oracles.partial_order(g)
+        for v in g.ids():
+            assert descendants(g, v) == oracles.descendants(g, v)
+            assert ancestors(g, v) == oracles.ancestors(g, v)
+    assert descendants(three, 0) == {1, 2, 3, 4} and ancestors(three, 4) == {0, 1, 2, 3}

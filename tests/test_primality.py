@@ -147,6 +147,23 @@ def test_cut_reducible_extremal_rejects_bad_cut(triangle1_graph):
         cut_reducible_extremal(triangle1_graph, bad)
 
 
+def test_classify_cut_checks_the_cut_against_the_graph():
+    # The rank-3 triangle with arrows 1->0, 2->0, 2->1: sides that miss a
+    # vertex or leave one side empty are refused, and a cut whose crossing
+    # field is forged empty is judged by the arrows that do cross it.
+    g = build_graph(DrinfeldPoly(A3, (KRFactor(1, 0, 3), KRFactor(2, 3, 3), KRFactor(3, 6, 3))))
+    assert [(a.tail, a.head) for a in g.arrows] == [(1, 0), (2, 0), (2, 1)]
+    uncovered = Cut(frozenset({0}), frozenset({1}), ())
+    one_sided = Cut(frozenset({0, 1, 2}), frozenset(), ())
+    for bad in (uncovered, one_sided):
+        for check in (classify_cut, cut_arrowless_simple):
+            with pytest.raises(InvalidCut):
+                check(g, bad)
+    forged = Cut(frozenset({0}), frozenset({1, 2}), ())
+    assert not cut_arrowless_simple(g, forged)
+    assert classify_cut(g, forged).status != "ReducibleByArrowless"
+
+
 def test_cut_arrowless(two_source_graph):
     split = build_graph(parse_poly("1:0:1 1:0:1@1", A2))
     component_cut = next(c for c in cuts(split) if not c.crossing)
