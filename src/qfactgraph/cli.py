@@ -1,15 +1,17 @@
 """Command-line front end.
 
 Exit codes: 0 success (and Prime verdicts), 1 NotPrime or failed check,
-2 Unknown verdict, 64 usage error, 65 bad input data.
+2 Unknown verdict, 64 usage error, 65 bad input data, 74 output error
+(stdout closed before the output was written).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from typing import IO
+from typing import IO, Callable, Sequence
 
 from .dynkin import DynkinA
 from .errors import PolySyntaxError, QfgError
@@ -42,11 +44,12 @@ from .lweight import (
     q_factorize,
     shift,
 )
-from .primality import Verdict, classify
+from .primality import Verdict, _CutReport, classify
 from .redsets import rset, rset_restricted
 
 USAGE_ERROR = 64
 DATA_ERROR = 65
+IO_ERROR = 74
 
 _VERDICT_EXIT = {"Prime": 0, "NotPrime": 1, "Unknown": 2}
 _CHUNK = 1024  # list items per write
@@ -67,29 +70,72 @@ def _read_poly(args, stdin: IO[str]) -> DrinfeldPoly:
     return parse_poly(text, DynkinA(args.rank))
 
 
-def _verdict_to_json(v: Verdict) -> dict:
-    out: dict = {"outcome": v.outcome}
+def _write_list(out: IO[str], encode: Callable[..., str], *columns: Sequence) -> None:
+    """Write the JSON list of encode(*items) over the zipped columns, in
+    blocks of _CHUNK items, so memory stays bounded however long it is."""
+    out.write("[")
+    for start in range(0, len(columns[0]), _CHUNK):
+        if start:
+            out.write(", ")
+        out.write(", ".join(map(encode, *(c[start : start + _CHUNK] for c in columns))))
+    out.write("]")
+
+
+def _write_last_key(out: IO[str], obj: dict, key: str, write_value: Callable[[], None]) -> None:
+    """Write _dumps of the nonempty obj with one more key, which sorts after
+    all of obj's keys; write_value writes that key's value."""
+    out.write(f"{_dumps(obj)[:-1]}, {json.dumps(key)}: ")
+    write_value()
+    out.write("}")
+
+
+def _join_ids(text: str, name: str) -> str:
+    return f"{text}, {name}" if text else name
+
+
+def _write_report(report: _CutReport, out: IO[str]) -> None:
+    """Write the JSON list of the report's entries, each one
+    {"left": [...], "right": [...], "status": ..., "witness": ...}, from its
+    rows: the id lists come from half-mask tables of joined id strings, and
+    no Cut or CutClass is built."""
+    m = report.graph.masks
+    names = [str(v) for v in m.ids]
+    lo_text, hi_text = m.half_tables(names, _join_ids, "")
+    low, half, full = m.low, m.half, m.full
+
+    def members(mask: int) -> str:
+        a, b = lo_text[mask & low], hi_text[mask >> half]
+        return f"{a}, {b}" if a and b else a or b
+
+    statuses = report.by_row(
+        lambda kl, kr: f'"ReducibleByExtremal", "witness": [{names[kl]}, {names[kr]}]',
+        '"Undetermined", "witness": null',
+    )
+
+    def entry(left: int, row: int) -> str:
+        return (
+            f'{{"left": [{members(left)}], "right": [{members(full ^ left)}], '
+            f'"status": {statuses[row]}}}'
+        )
+
+    _write_list(out, entry, report.lefts, report.rows)
+
+
+def _write_verdict(v: Verdict, out: IO[str]) -> None:
+    """Write the verdict's JSON object with sorted keys.  A report, which
+    only classify's witness-free Unknown verdicts carry, is the last key
+    and is streamed."""
+    obj: dict = {"outcome": v.outcome}
     if v.certificate is not None:
-        out["certificate"] = v.certificate
+        obj["certificate"] = v.certificate
     if v.reason is not None:
-        out["reason"] = v.reason
+        obj["reason"] = v.reason
     if v.witness is not None:
-        out["witness"] = [poly_to_json(p) for p in v.witness]
-    if v.report is not None:
-        out["report"] = [
-            {
-                "left": sorted(c.cut.left),
-                "right": sorted(c.cut.right),
-                "status": c.status,
-                "witness": (
-                    [c.witness.left_vertex, c.witness.right_vertex]
-                    if c.witness is not None
-                    else None
-                ),
-            }
-            for c in v.report
-        ]
-    return out
+        obj["witness"] = [poly_to_json(p) for p in v.witness]
+    if v.report is None:
+        out.write(_dumps(obj))
+    else:
+        _write_last_key(out, obj, "report", lambda: _write_report(v.report, out))
 
 
 def _cmd_factorize(args, inp: IO[str], out: IO[str]) -> int:
@@ -121,7 +167,8 @@ def _cmd_check(args, inp: IO[str], out: IO[str]) -> int:
 def _cmd_verdict(args, inp: IO[str], out: IO[str]) -> int:
     graph = canonical(build_graph(q_factorize(_read_poly(args, inp))))
     verdict = classify(graph)
-    print(_dumps(_verdict_to_json(verdict)), file=out)
+    _write_verdict(verdict, out)
+    out.write("\n")
     return _VERDICT_EXIT[verdict.outcome]
 
 
@@ -153,12 +200,8 @@ def _cmd_rset(args, inp: IO[str], out: IO[str]) -> int:
 def _write_int_list(values: range, out: IO[str]) -> None:
     """Print json.dumps(list(values)) in chunks straight from the range,
     so memory stays constant however many values there are."""
-    out.write("[")
-    for start in range(0, len(values), _CHUNK):
-        if start:
-            out.write(", ")
-        out.write(", ".join(map(str, values[start : start + _CHUNK])))
-    out.write("]\n")
+    _write_list(out, str, values)
+    out.write("\n")
 
 
 def build_parser() -> _Parser:
@@ -249,15 +292,12 @@ def _parse_points(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(points)
 
 
-def _family_payload(poly: DrinfeldPoly, extra: dict) -> dict:
+def _write_family(poly: DrinfeldPoly, extra: dict, out: IO[str]) -> None:
+    """Write the family payload; "verdict" sorts after every other key."""
     graph = canonical(build_graph(q_factorize(poly)))
-    payload = {
-        "polynomial": poly_to_json(poly),
-        "graph": graph_to_json_obj(graph),
-        "verdict": _verdict_to_json(classify(graph)),
-    }
-    payload.update(extra)
-    return payload
+    payload = {"polynomial": poly_to_json(poly), "graph": graph_to_json_obj(graph), **extra}
+    verdict = classify(graph)
+    _write_last_key(out, payload, "verdict", lambda: _write_verdict(verdict, out))
 
 
 def _cmd_family(args, inp: IO[str], out: IO[str]) -> int:
@@ -282,7 +322,8 @@ def _cmd_family(args, inp: IO[str], out: IO[str]) -> int:
     if args.poly_only:
         print(poly_to_text(poly), file=out)
         return 0
-    print(_dumps(_family_payload(poly, extra)), file=out)
+    _write_family(poly, extra, out)
+    out.write("\n")
     return 0
 
 
@@ -303,7 +344,16 @@ def run(argv: list[str], stdout: IO[str] | None = None, stdin: IO[str] | None = 
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout.  Point it at devnull, so that the
+        # interpreter's flush at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("qfactgraph: error: stdout was closed before the output was written", file=sys.stderr)
+        code = IO_ERROR
+    sys.exit(code)
 
 
 if __name__ == "__main__":

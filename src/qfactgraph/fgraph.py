@@ -11,9 +11,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
-from operator import attrgetter
+from operator import attrgetter, or_
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
 from .dynkin import DynkinA, reducible
 from .errors import (
@@ -62,6 +62,7 @@ __all__ = [
 
 
 Vertex = KRFactor  # the graph-side name; a vertex's weight is its length
+T = TypeVar("T")
 
 
 class Arrow(NamedTuple):
@@ -150,7 +151,9 @@ class BitMasks:
 
     ``out[k]`` is the mask of the heads of the arrows leaving ``ids[k]``,
     ``inn[k]`` that of the tails of the arrows entering it and ``nbr[k]``
-    their union; ``extremal`` is the mask of the sources and sinks.
+    their union; ``extremal`` is the mask of the sources and sinks.  The
+    half tables split the bits at ``half = n // 2``; ``low`` masks the
+    lower half.
     """
 
     def __init__(self, g: FactGraph) -> None:
@@ -164,12 +167,48 @@ class BitMasks:
         self.out = tuple(out)
         self.inn = tuple(inn)
         self.nbr = tuple(o | i for o, i in zip(out, inn))
-        self.extremal = sum(1 << k for k, (o, i) in enumerate(zip(out, inn)) if not o or not i)
         self.full = (1 << len(ids)) - 1
-        self._vertex_set = frozenset(ids)
-        self._arrow_ends = tuple(
-            (a, 1 << index[a.tail] | 1 << index[a.head]) for a in g.arrows
-        )
+        self.half = len(ids) // 2
+        self.low = (1 << self.half) - 1
+        self._arrows = g.arrows
+
+    # The fields below are read only by the cut stage, which most graphs
+    # never reach, so each is built on first use.
+
+    @cached_property
+    def extremal(self) -> int:
+        return sum(1 << k for k, (o, i) in enumerate(zip(self.out, self.inn)) if not o or not i)
+
+    @cached_property
+    def unions(self) -> tuple[list[int], list[int], list[int], list[int]]:
+        """Half tables (out_lo, out_hi, inn_lo, inn_hi) of mask unions: the
+        union of out[j] over the bits j of a mask S is
+        ``out_lo[S & low] | out_hi[S >> half]``, and that of inn[j] likewise."""
+        return (*self.half_tables(self.out, or_, 0), *self.half_tables(self.inn, or_, 0))
+
+    @cached_property
+    def _vertex_set(self) -> frozenset[int]:
+        return frozenset(self.ids)
+
+    @cached_property
+    def _arrow_ends(self) -> tuple[tuple[Arrow, int], ...]:
+        index = self.index
+        return tuple((a, 1 << index[a.tail] | 1 << index[a.head]) for a in self._arrows)
+
+    def half_tables(
+        self, values: Sequence[T], join: Callable[[T, T], T], empty: T
+    ) -> tuple[list[T], list[T]]:
+        """The fold by join, from empty, of values[k] over the bits k of
+        every mask of the bits below ``half`` and of every mask of the bits
+        from ``half`` up, ascending.  Each bit doubles its table, so the two
+        tables hold 2^half + 2^(n - half) entries, not 2^n."""
+        tables = []
+        for part in (values[: self.half], values[self.half :]):
+            table = [empty]
+            for value in part:
+                table += [join(t, value) for t in table]
+            tables.append(table)
+        return tables[0], tables[1]
 
     def of(self, vertices: Iterable[int]) -> int:
         """The mask of a collection of vertex ids of the graph."""
@@ -369,14 +408,22 @@ def subgraph(g: FactGraph, ids) -> FactGraph:
 
 def connected_components(g: FactGraph) -> list[FactGraph]:
     """The components as induced subgraphs, by smallest id: each is the
-    closure over nbr of the lowest vertex not yet assigned."""
+    closure over nbr of the lowest vertex not yet assigned.  Every vertex
+    gets its component's index, and one pass deals the arrows out."""
     m = g.masks
-    comps, rest = [], m.full
+    owner = [0] * len(m.ids)
+    vertices: list[dict[int, KRFactor]] = []
+    rest = m.full
     while rest:
         comp = _closure(m.nbr, rest & -rest, m.full)
-        comps.append(subgraph(g, m.members(comp)))
         rest ^= comp
-    return comps
+        for k in _bits(comp):
+            owner[k] = len(vertices)
+        vertices.append({v: g.vertices[v] for v in m.members(comp)})
+    arrows: list[list[Arrow]] = [[] for _ in vertices]
+    for a in g.arrows:
+        arrows[owner[m.index[a.tail]]].append(a)
+    return [FactGraph(g.rank, vs, tuple(arr)) for vs, arr in zip(vertices, arrows)]
 
 
 def _strict_closure(g: FactGraph, step: tuple[int, ...], v: int) -> frozenset[int]:

@@ -8,8 +8,11 @@ per-cut classification report.
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import NamedTuple
+from functools import partial
+from typing import Callable, Iterator, NamedTuple, TypeVar
 
 from .dynkin import DynkinA
 from .errors import (
@@ -54,6 +57,8 @@ __all__ = [
     "alternating_line_check",
 ]
 
+T = TypeVar("T")
+
 
 @dataclass(frozen=True)
 class CutWitness:
@@ -93,7 +98,7 @@ class Verdict:
     outcome: str  # "Prime" | "NotPrime" | "Unknown"
     certificate: str | None = None
     witness: tuple[DrinfeldPoly, ...] | None = None
-    report: tuple[CutClass, ...] | None = None
+    report: Sequence[CutClass] | None = None
     reason: str | None = None  # "cap-exceeded": too many vertices to walk the cuts
 
 
@@ -105,27 +110,39 @@ def _check_cut(g: FactGraph, cut: Cut) -> None:
         raise InvalidCut("cut sides must both be nonempty")
 
 
-def _passes_extremal(m: BitMasks, k: int, side: int) -> bool:
-    """Vertex bit k is extremal in its side, and isolated there if it is
-    extremal in the whole graph."""
-    if not m.nbr[k] & side:
-        return True
-    return not m.extremal >> k & 1 and (not m.out[k] & side or not m.inn[k] & side)
+def _extremal_pair(m: BitMasks, left: int) -> tuple[int, int] | None:
+    """The bits (kl, kr) of cut_reducible_extremal's witness on the cut
+    whose left side is the mask left: the lowest passing kl with a passing
+    neighbour on the right, and the lowest such neighbour kr.
 
-
-def _extremal_witness(g: FactGraph, left: int) -> CutWitness | None:
-    """cut_reducible_extremal on the cut whose left side is the mask left."""
-    m = g.masks
-    right = m.full ^ left
-    for kl in _bits(left):
-        if not _passes_extremal(m, kl, left):
-            continue
-        for kr in _bits(m.nbr[kl] & right):
-            if _passes_extremal(m, kr, right):
-                vl, vr = m.ids[kl], m.ids[kr]
-                amap = g.arrow_map
-                return CutWitness(vl, vr, amap.get((vl, vr)) or amap.get((vr, vl)))
+    A vertex passes in its side if it is extremal there (no in-neighbour
+    or no out-neighbour in the side), and isolated there if it is extremal
+    in the whole graph.  It has an in-neighbour in the side iff it lies in
+    heads, the union of out over the side, and an out-neighbour iff it lies
+    in tails, the union of inn; both come from the half tables."""
+    out_lo, out_hi, inn_lo, inn_hi = m.unions
+    inner = m.full ^ m.extremal
+    passing = []
+    for side in (left, m.full ^ left):
+        lo, hi = side & m.low, side >> m.half
+        heads = out_lo[lo] | out_hi[hi]
+        tails = inn_lo[lo] | inn_hi[hi]
+        passing.append(side & (~(heads | tails) | inner & ~(heads & tails)))
+    candidates, right = passing
+    while candidates:
+        low = candidates & -candidates
+        kl = low.bit_length() - 1
+        hit = m.nbr[kl] & right
+        if hit:
+            return kl, (hit & -hit).bit_length() - 1
+        candidates ^= low
     return None
+
+
+def _witness(g: FactGraph, kl: int, kr: int) -> CutWitness:
+    vl, vr = g.masks.ids[kl], g.masks.ids[kr]
+    amap = g.arrow_map
+    return CutWitness(vl, vr, amap.get((vl, vr)) or amap.get((vr, vl)))
 
 
 def cut_reducible_extremal(g: FactGraph, cut: Cut) -> CutWitness | None:
@@ -133,7 +150,8 @@ def cut_reducible_extremal(g: FactGraph, cut: Cut) -> CutWitness | None:
     such that a pair member extremal in the whole graph is isolated in
     its side.  Such a pair certifies the cut's tensor product reducible."""
     _check_cut(g, cut)
-    return _extremal_witness(g, g.masks.of(cut.left))
+    pair = _extremal_pair(g.masks, g.masks.of(cut.left))
+    return None if pair is None else _witness(g, *pair)
 
 
 def cut_arrowless_simple(g: FactGraph, cut: Cut) -> bool:
@@ -234,17 +252,65 @@ def dual_neighborhood_certificate(
     return DualCertificate(tuple(witnesses))
 
 
-def _extremal_class(g: FactGraph, cut: Cut, left: int) -> CutClass:
-    witness = _extremal_witness(g, left)
-    if witness is not None:
-        return CutClass(cut, "ReducibleByExtremal", witness)
-    return CutClass(cut, "Undetermined")
+def _cut_class(g: FactGraph, cut: Cut, row: int) -> CutClass:
+    """The class of a crossing cut from its report row: kl * n + kr for
+    the extremal witness (kl, kr), or -1 for Undetermined."""
+    if row < 0:
+        return CutClass(cut, "Undetermined")
+    return CutClass(cut, "ReducibleByExtremal", _witness(g, *divmod(row, len(g.vertices))))
+
+
+def _report_row(m: BitMasks, left: int) -> int:
+    pair = _extremal_pair(m, left)
+    return -1 if pair is None else pair[0] * len(m.ids) + pair[1]
+
+
+class _CutReport(Sequence[CutClass]):
+    """The Unknown report: one int row per cut (see _cut_class), in the
+    order of lefts.  Entries are built only when read; the report compares,
+    hashes and prints as the tuple of its entries."""
+
+    def __init__(self, graph: FactGraph, lefts: range, rows: array) -> None:
+        self.graph = graph
+        self.lefts = lefts
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return len(self.lefts)
+
+    def by_row(self, witness: Callable[[int, int], T], undetermined: T) -> list[T]:
+        """A table indexed by row: witness(kl, kr) at the row of the witness
+        (kl, kr), and undetermined at row -1, the last item."""
+        n = len(self.graph.vertices)
+        return [witness(kl, kr) for kl in range(n) for kr in range(n)] + [undetermined]
+
+    def _entry(self, left: int, row: int) -> CutClass:
+        return _cut_class(self.graph, self.graph.masks.cut(left), row)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return _CutReport(self.graph, self.lefts[index], self.rows[index])
+        return self._entry(self.lefts[index], self.rows[index])
+
+    def __iter__(self) -> Iterator[CutClass]:
+        return map(self._entry, self.lefts, self.rows)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (_CutReport, tuple)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
 
 
 def classify_cut(g: FactGraph, cut: Cut) -> CutClass:
     if cut_arrowless_simple(g, cut):
         return CutClass(cut, "ReducibleByArrowless")
-    return _extremal_class(g, cut, g.masks.of(cut.left))
+    return _cut_class(g, cut, _report_row(g.masks, g.masks.of(cut.left)))
 
 
 def classify(g: FactGraph, max_cut_vertices: int = 20) -> Verdict:
@@ -285,10 +351,8 @@ def classify(g: FactGraph, max_cut_vertices: int = 20) -> Verdict:
     if all(_dual_base(m, rows, left) for left in lefts):
         return Verdict("Prime", certificate="DualNeighborhood")
     # The graph is connected, so an arrow crosses every cut.
-    return Verdict(
-        "Unknown",
-        report=tuple(_extremal_class(g, m.cut(left), left) for left in lefts),
-    )
+    rows = array("i", map(partial(_report_row, m), lefts))
+    return Verdict("Unknown", report=_CutReport(g, lefts, rows))
 
 
 def _check_chain(

@@ -9,7 +9,10 @@ from qfactgraph import (
     Snake,
     SkewShape,
     build_graph,
+    canonical,
+    classify,
     parse_poly,
+    q_factorize,
     snake_to_poly,
 )
 
@@ -69,3 +72,26 @@ def arrow_data(g):
         t, h = g.vertices[a.tail], g.vertices[a.head]
         out.add(((t.color, t.center), (h.color, h.center), a.exp))
     return out
+
+
+# Connected graphs that are not totally ordered and get an Unknown verdict,
+# by vertex count, as (rank, polynomial).  An n-vertex report has
+# 2^(n-1) - 1 entries: at 11 vertices 1,023, one block of the writer's
+# 1,024; at 12 vertices two blocks.
+UNKNOWN = {
+    3: (2, "2:0:2 1:3:2 1:4:1"),
+    11: (3, "1:1:1 1:2:2 1:9:1 1:9:1 2:0:1 2:0:1 2:4:1 2:5:2 2:12:1 3:-4:2 3:-4:2"),
+    12: (5, "1:0:1 1:0:1 1:1:2 2:-4:2 2:4:2 2:9:1 3:0:1 3:5:2 4:-3:1 4:5:1 4:9:1 5:6:1"),
+    13: (5, "1:-9:2 1:7:2 1:7:2 1:8:1 2:-1:1 2:3:1 3:-5:2 3:7:2 4:-9:1 4:3:1 4:3:1 5:0:1 5:0:1"),
+}
+
+
+def unknown_verdict(n: int):
+    """The polynomial, canonical graph and Unknown verdict of UNKNOWN[n]."""
+    rank, text = UNKNOWN[n]
+    poly = parse_poly(text, DynkinA(rank))
+    graph = canonical(build_graph(q_factorize(poly)))
+    verdict = classify(graph)
+    assert len(graph.vertices) == n and verdict.outcome == "Unknown"
+    assert len(verdict.report) == 2 ** (n - 1) - 1
+    return poly, graph, verdict

@@ -25,6 +25,11 @@ the int masks of ``BitMasks`` replaced, copied unchanged but for one
 thing: they read the three dict adjacencies ``FactGraph`` used to cache
 (``_out_adj``, ``_in_adj``, ``_undirected_adj``, built here from the
 arrows), so they share nothing with the masks they check.
+
+``_verdict_to_json`` is the CLI's verdict encoder before the report was
+streamed from its rows, copied unchanged: every report entry is a dict
+with two freshly sorted id lists, read from the entry's ``Cut``, and the
+CLI printed ``json.dumps`` of the whole dict at once.
 """
 
 from __future__ import annotations
@@ -54,6 +59,7 @@ from qfactgraph import (
     Vertex,
     is_q_factorization,
     kr_dual_pair_simple,
+    poly_to_json,
     roots_of,
     subgraph,
     to_polynomial,
@@ -692,3 +698,28 @@ def transitive_reduction(g: FactGraph) -> tuple[Arrow, ...]:
         if not redundant:
             keep.append(a)
     return tuple(keep)
+
+
+def _verdict_to_json(v: Verdict) -> dict:
+    out: dict = {"outcome": v.outcome}
+    if v.certificate is not None:
+        out["certificate"] = v.certificate
+    if v.reason is not None:
+        out["reason"] = v.reason
+    if v.witness is not None:
+        out["witness"] = [poly_to_json(p) for p in v.witness]
+    if v.report is not None:
+        out["report"] = [
+            {
+                "left": sorted(c.cut.left),
+                "right": sorted(c.cut.right),
+                "status": c.status,
+                "witness": (
+                    [c.witness.left_vertex, c.witness.right_vertex]
+                    if c.witness is not None
+                    else None
+                ),
+            }
+            for c in v.report
+        ]
+    return out

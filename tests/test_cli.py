@@ -1,15 +1,34 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from io import StringIO
+from pathlib import Path
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import HealthCheck, given, settings
 
-from qfactgraph import DynkinA, rset, rset_restricted
-from qfactgraph.cli import _write_int_list, run
+import oracles
+from qfactgraph import (
+    DynkinA,
+    build_graph,
+    canonical,
+    classify,
+    graph_to_json_obj,
+    parse_poly,
+    poly_to_json,
+    q_factorize,
+    rset,
+    rset_restricted,
+)
+from qfactgraph.cli import _dumps, _write_family, _write_int_list, run
+
+from conftest import UNKNOWN, unknown_verdict
 
 
 def invoke(*argv, stdin_text: str | None = None):
@@ -254,6 +273,78 @@ def test_rset_output_is_streamed():
     finally:
         tracemalloc.stop()
     assert code == 0 and peak < 512 * 1024
+
+
+@pytest.mark.parametrize("n", (3, 11, 12))
+def test_streamed_verdict_matches_oracle(n):
+    poly, graph, verdict = unknown_verdict(n)
+    expected = _dumps(oracles._verdict_to_json(verdict))
+    rank, text = UNKNOWN[n]
+    assert invoke("verdict", "--rank", str(rank), text) == (2, expected + "\n")
+    # Every other key of a family payload sorts before "verdict".
+    for extra in ({}, {"snake": True, "prime_snake": False}, {"nu": [[2, 1]], "table": [[[3, 0]]]}):
+        out = StringIO()
+        _write_family(poly, extra, out)
+        payload = {
+            "polynomial": poly_to_json(poly),
+            "graph": graph_to_json_obj(graph),
+            "verdict": oracles._verdict_to_json(verdict),
+            **extra,
+        }
+        assert out.getvalue() == _dumps(payload)
+
+
+def test_family_commands_match_oracle():
+    # Each family verb through run against the oracle encoder, on Prime
+    # and NotPrime verdicts.
+    for argv in (
+        ("family", "tournament", "--N", "3", "--n", "5"),
+        ("family", "snake", "--points", "4:-2,3:1,2:4,3:7", "--rank", "5"),
+        ("family", "snake", "--points", "2:-5,2:0", "--rank", "3"),
+        ("family", "skew", "--lambda", "20,16,10,7,2,0", "--mu", "17,5", "--rank", "3"),
+        ("family", "skew", "--lambda", "12,8,6,0", "--mu", "3", "--rank", "2"),
+    ):
+        code, text = invoke(*argv)
+        obj = json.loads(text)
+        poly = parse_poly(invoke(*argv, "--poly-only")[1], DynkinA(obj["graph"]["rank"]))
+        obj["verdict"] = oracles._verdict_to_json(classify(canonical(build_graph(q_factorize(poly)))))
+        assert code == 0 and text == _dumps(obj) + "\n"
+
+
+def test_verdict_report_is_streamed():
+    # The 13-vertex report prints as 467,264 bytes; building every entry
+    # and one string peaked at about 12 MB.
+    rank, text = UNKNOWN[13]
+    run(["verdict", "--rank", str(rank), UNKNOWN[3][1]], stdout=_Discard())  # warm imports
+    tracemalloc.start()
+    try:
+        code = run(["verdict", "--rank", str(rank), text], stdout=_Discard())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and peak < 1024 * 1024
+
+
+def test_closed_stdout_exits_74_without_traceback():
+    # The reader stops after 100 of 467,264 bytes, more than a pipe holds.
+    rank, text = UNKNOWN[13]
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qfactgraph.cli", "verdict", "--rank", str(rank), text],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    try:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 74
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert "Traceback" not in err and err.startswith("qfactgraph: error:")
 
 
 def test_rset_interval_is_not_materialized():

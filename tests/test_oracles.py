@@ -9,6 +9,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import replace
+from io import StringIO
 
 import hypothesis.strategies as st
 import pytest
@@ -48,9 +49,12 @@ from qfactgraph import (
     transitive_reduction,
     validate,
 )
+from qfactgraph.cli import _dumps, _write_verdict
 from qfactgraph.dynkin import reducibility_bounds, reducible
 from qfactgraph.fgraph import _forced_arrows, ancestors, descendants
 from qfactgraph.lweight import interacting_pairs
+
+from conftest import unknown_verdict
 
 COMMON = dict(
     deadline=None,
@@ -246,7 +250,12 @@ def test_cut_engine_matches_oracle(rank, size, mode, seed):
     g = grown_graph(DynkinA(rank), size, mode, random.Random(seed))
     assert_order_matches_oracle(g)
     expected = oracles.classify(g)
-    assert classify(g) == expected
+    verdict = classify(g)
+    assert verdict == expected
+    # The streamed encoder prints what the dict encoder printed, on any ids.
+    out = StringIO()
+    _write_verdict(verdict, out)
+    assert out.getvalue() == _dumps(oracles._verdict_to_json(expected))
     old_cuts = list(oracles.cuts(g))
     assert list(cuts(g)) == old_cuts
     # An Unknown verdict's report is the oracle's classify_cut of every cut.
@@ -260,6 +269,26 @@ def test_cut_engine_matches_oracle(rank, size, mode, seed):
         old_witness = old.witness if cut.crossing else oracles.cut_reducible_extremal(g, cut)
         assert cut_reducible_extremal(g, cut) == old_witness
     assert dual_neighborhood_certificate(g) == oracles.dual_neighborhood_certificate(g)
+
+
+@pytest.mark.parametrize("n", (3, 11, 12))
+def test_report_acts_as_the_oracle_tuple(n):
+    _, graph, verdict = unknown_verdict(n)
+    expected = oracles.classify(graph)
+    report, old = verdict.report, expected.report
+    assert type(old) is tuple and len(report) == len(old)
+    assert report[0] == old[0] and report[-1] == old[-1] and report[len(old) // 2] == old[len(old) // 2]
+    for part in (slice(1, 3), slice(None, None, -2), slice(-5, None), slice(4, 2)):
+        assert report[part] == old[part] and old[part] == report[part]
+        assert tuple(report[part]) == old[part]
+    assert tuple(iter(report)) == old and list(reversed(report))[:3] == list(old[::-1][:3])
+    assert report == old and old == report and report == report[:] and not report != old
+    assert report != list(old) and report != old[1:] and old[1:] != report
+    assert verdict == expected and expected == verdict
+    assert hash(report) == hash(old) and hash(verdict) == hash(expected)
+    assert repr(report) == repr(old) and repr(verdict) == repr(expected)
+    with pytest.raises(IndexError):
+        report[len(old)]
 
 
 def test_grown_graphs_reach_every_cut_stage_verdict():

@@ -162,6 +162,7 @@ def test_classify_cut_checks_the_cut_against_the_graph():
     forged = Cut(frozenset({0}), frozenset({1, 2}), ())
     assert not cut_arrowless_simple(g, forged)
     assert classify_cut(g, forged).status != "ReducibleByArrowless"
+    assert classify_cut(g, forged).cut is forged
 
 
 def test_cut_arrowless(two_source_graph):
