@@ -27,7 +27,6 @@ from .families import (
 )
 from .fgraph import (
     build_graph,
-    canonical,
     graph_to_dot,
     graph_to_json_obj,
     validate,
@@ -145,7 +144,7 @@ def _cmd_factorize(args, inp: IO[str], out: IO[str]) -> int:
 
 
 def _cmd_graph(args, inp: IO[str], out: IO[str]) -> int:
-    graph = canonical(build_graph(_read_poly(args, inp)))
+    graph = build_graph(_read_poly(args, inp))
     if args.dot:
         out.write(graph_to_dot(graph, hasse=args.hasse))
     else:
@@ -154,7 +153,7 @@ def _cmd_graph(args, inp: IO[str], out: IO[str]) -> int:
 
 
 def _cmd_check(args, inp: IO[str], out: IO[str]) -> int:
-    graph = canonical(build_graph(_read_poly(args, inp)))
+    graph = build_graph(_read_poly(args, inp))
     report = validate(graph, args.level)
     failures = [
         {"kind": f.kind, "vertices": list(f.vertices), "message": f.message}
@@ -165,7 +164,7 @@ def _cmd_check(args, inp: IO[str], out: IO[str]) -> int:
 
 
 def _cmd_verdict(args, inp: IO[str], out: IO[str]) -> int:
-    graph = canonical(build_graph(q_factorize(_read_poly(args, inp))))
+    graph = build_graph(q_factorize(_read_poly(args, inp)))
     verdict = classify(graph)
     _write_verdict(verdict, out)
     out.write("\n")
@@ -294,7 +293,7 @@ def _parse_points(text: str) -> tuple[tuple[int, int], ...]:
 
 def _write_family(poly: DrinfeldPoly, extra: dict, out: IO[str]) -> None:
     """Write the family payload; "verdict" sorts after every other key."""
-    graph = canonical(build_graph(q_factorize(poly)))
+    graph = build_graph(q_factorize(poly))
     payload = {"polynomial": poly_to_json(poly), "graph": graph_to_json_obj(graph), **extra}
     verdict = classify(graph)
     _write_last_key(out, payload, "verdict", lambda: _write_verdict(verdict, out))

@@ -265,7 +265,8 @@ def build_graph(p: DrinfeldPoly) -> FactGraph:
     """Graph of a (pseudo) factorization: one vertex per factor, and an
     arrow for every ordered pair whose tensor product is reducible and
     highest-weight-ordered.  Canonical input yields the q-factorization
-    graph of the polynomial."""
+    graph of the polynomial.  Vertex k is the k-th factor in the sorted
+    order p keeps, so the graph is already canonical()."""
     return _graph_from_factors(p.rank, p.factors)
 
 

@@ -330,10 +330,10 @@ def classify(g: FactGraph, max_cut_vertices: int = 20) -> Verdict:
         # The empty polynomial denotes the trivial module, the unit of the
         # tensor product; it is not prime and its witness is empty.
         return Verdict("NotPrime", witness=())
-    components = connected_components(g)
-    if len(components) > 1:
+    m = g.masks
+    if _closure(m.nbr, 1, m.full) != m.full:  # vertex 0 misses a component
         return Verdict(
-            "NotPrime", witness=tuple(to_polynomial(c) for c in components)
+            "NotPrime", witness=tuple(map(to_polynomial, connected_components(g)))
         )
     n = len(g.vertices)
     if n == 1:
@@ -345,7 +345,6 @@ def classify(g: FactGraph, max_cut_vertices: int = 20) -> Verdict:
         return Verdict("Prime", certificate=cert)
     if n > max_cut_vertices:
         return Verdict("Unknown", reason="cap-exceeded")
-    m = g.masks
     lefts = m.lefts(max_cut_vertices)
     rows = _DualRows(g)
     if all(_dual_base(m, rows, left) for left in lefts):

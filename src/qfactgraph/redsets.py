@@ -49,10 +49,6 @@ class RSet:
     def members(self) -> range:
         return range(self.lo, self.hi + 1, 2)
 
-    @property
-    def params(self) -> tuple:
-        return (self.i, self.j, self.r, self.s, self.interval)
-
     def __iter__(self):
         return iter(self.members)
 

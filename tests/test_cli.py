@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, given, settings
 import oracles
 from qfactgraph import (
     DynkinA,
+    FactGraph,
     build_graph,
     canonical,
     classify,
@@ -156,6 +157,31 @@ def test_verdict_canonicalizes_first():
     code, text = invoke("verdict", "--rank", "2", "1:0:1 1:2:1")
     assert code == 0
     assert json.loads(text) == {"certificate": "SingleVertex", "outcome": "Prime"}
+
+
+@pytest.mark.parametrize(
+    "rank, text, outcome, graphs",
+    [
+        (8, "6:0:1 7:3:1 8:6:1 5:-3:1", "Prime", 1),
+        (*UNKNOWN[13], "Unknown", 1),
+        (3, "1:0:1 3:40:1 2:90:1", "NotPrime", 4),
+    ],
+    ids=["prime", "unknown", "three-components"],
+)
+def test_verdict_builds_one_graph(monkeypatch, rank, text, outcome, graphs):
+    # A connected verdict constructs only the graph of its factorization;
+    # a disconnected one adds one graph per component for its witness.
+    built = []
+    post_init = FactGraph.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(FactGraph, "__post_init__", counting)
+    _, out = invoke("verdict", "--rank", str(rank), text)
+    assert json.loads(out)["outcome"] == outcome
+    assert len(built) == graphs
 
 
 def test_rset_command():

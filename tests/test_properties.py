@@ -14,6 +14,7 @@ from qfactgraph import (
     alternating_line_check,
     arrow_dual,
     build_graph,
+    canonical,
     chain_p_matrix,
     connected_components,
     dual_kappa,
@@ -193,7 +194,13 @@ def test_q_factorize_properties(poly, offset):
 @settings(max_examples=500, **COMMON)
 @given(polys())
 def test_built_graphs_validate(poly):
+    # A built graph numbers its vertices in the sorted factor order, so
+    # the CLI never renumbers it: canonical is the identity both on the
+    # graph of the factors as given (what `graph` and `check` print) and
+    # on the graph of the q-factorization.
+    assert canonical(build_graph(poly)) == build_graph(poly)
     g = build_graph(q_factorize(poly))
+    assert canonical(g) == g
     for a in g.arrows:
         assert g.vertices[a.tail].center > g.vertices[a.head].center
     partial_order(g)  # must not raise
