@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
-from operator import attrgetter, or_
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
@@ -151,9 +151,8 @@ class BitMasks:
 
     ``out[k]`` is the mask of the heads of the arrows leaving ``ids[k]``,
     ``inn[k]`` that of the tails of the arrows entering it and ``nbr[k]``
-    their union; ``extremal`` is the mask of the sources and sinks.  The
-    half tables split the bits at ``half = n // 2``; ``low`` masks the
-    lower half.
+    their union.  The half tables split the bits at ``half = n // 2``;
+    ``low`` masks the lower half.
     """
 
     def __init__(self, g: FactGraph) -> None:
@@ -176,24 +175,13 @@ class BitMasks:
     # never reach, so each is built on first use.
 
     @cached_property
-    def extremal(self) -> int:
-        return sum(1 << k for k, (o, i) in enumerate(zip(self.out, self.inn)) if not o or not i)
-
-    @cached_property
-    def unions(self) -> tuple[list[int], list[int], list[int], list[int]]:
-        """Half tables (out_lo, out_hi, inn_lo, inn_hi) of mask unions: the
-        union of out[j] over the bits j of a mask S is
-        ``out_lo[S & low] | out_hi[S >> half]``, and that of inn[j] likewise."""
-        return (*self.half_tables(self.out, or_, 0), *self.half_tables(self.inn, or_, 0))
-
-    @cached_property
     def _vertex_set(self) -> frozenset[int]:
         return frozenset(self.ids)
 
     @cached_property
-    def _arrow_ends(self) -> tuple[tuple[Arrow, int], ...]:
-        index = self.index
-        return tuple((a, 1 << index[a.tail] | 1 << index[a.head]) for a in self._arrows)
+    def arrow_bits(self) -> tuple[tuple[Arrow, int, int], ...]:
+        """Every arrow of g.arrows, in order, with its tail and head bits."""
+        return tuple((a, self.index[a.tail], self.index[a.head]) for a in self._arrows)
 
     def half_tables(
         self, values: Sequence[T], join: Callable[[T, T], T], empty: T
@@ -234,7 +222,7 @@ class BitMasks:
     def cut(self, left: int) -> Cut:
         """The cut whose left side is the mask left."""
         members = frozenset(v for k, v in enumerate(self.ids) if left >> k & 1)
-        crossing = tuple(a for a, ends in self._arrow_ends if 0 != left & ends != ends)
+        crossing = tuple(a for a, t, h in self.arrow_bits if left >> t & 1 != left >> h & 1)
         return Cut(members, self._vertex_set - members, crossing)
 
 

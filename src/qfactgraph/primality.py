@@ -8,10 +8,10 @@ per-cut classification report.
 
 from __future__ import annotations
 
+import sys
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Iterator, NamedTuple, TypeVar
 
 from .dynkin import DynkinA
@@ -58,6 +58,7 @@ __all__ = [
 ]
 
 T = TypeVar("T")
+_BLOCK = 10  # a block of report rows holds 2^_BLOCK cuts
 
 
 @dataclass(frozen=True)
@@ -110,33 +111,50 @@ def _check_cut(g: FactGraph, cut: Cut) -> None:
         raise InvalidCut("cut sides must both be nonempty")
 
 
-def _extremal_pair(m: BitMasks, left: int) -> tuple[int, int] | None:
-    """The bits (kl, kr) of cut_reducible_extremal's witness on the cut
-    whose left side is the mask left: the lowest passing kl with a passing
-    neighbour on the right, and the lowest such neighbour kr.
+def _witness_lanes(g: FactGraph, xs: list[int], ones: int, lane: int) -> int:
+    """cut_reducible_extremal's witness on many cuts, one lane per cut: ones
+    is ``lane`` in every lane, xs[j] in the lanes with vertex j on the left.
+    A vertex passes if extremal in its side, or isolated there if extremal
+    in the graph.  A lane of the result is kl * n + kr for the lowest passing
+    left kl with a passing right neighbour and the lowest such kr, or lane."""
+    m, n = g.masks, len(g.vertices)
+    inner = [i and o for i, o in zip(m.inn, m.out)]
+    left, right = [], []
+    for side, passing in ((xs, left), ([ones ^ x for x in xs], right)):
+        heads, tails = [0] * n, [0] * n  # lanes where k has an in- or out-neighbour in side
+        for _, t, h in m.arrow_bits:
+            heads[h] |= side[t]
+            tails[t] |= side[h]
+        passing += [s & ~(i & o if b else i | o) for s, i, o, b in zip(side, heads, tails, inner)]
+    row = rest = ones
+    for kl in range(n):
+        for kr in _bits(m.nbr[kl]) if left[kl] else ():
+            hit = left[kl] & right[kr] & rest
+            row ^= hit // lane * (lane ^ (kl * n + kr))
+            rest ^= hit
+    return row
 
-    A vertex passes in its side if it is extremal there (no in-neighbour
-    or no out-neighbour in the side), and isolated there if it is extremal
-    in the whole graph.  It has an in-neighbour in the side iff it lies in
-    heads, the union of out over the side, and an out-neighbour iff it lies
-    in tails, the union of inn; both come from the half tables."""
-    out_lo, out_hi, inn_lo, inn_hi = m.unions
-    inner = m.full ^ m.extremal
-    passing = []
-    for side in (left, m.full ^ left):
-        lo, hi = side & m.low, side >> m.half
-        heads = out_lo[lo] | out_hi[hi]
-        tails = inn_lo[lo] | inn_hi[hi]
-        passing.append(side & (~(heads | tails) | inner & ~(heads & tails)))
-    candidates, right = passing
-    while candidates:
-        low = candidates & -candidates
-        kl = low.bit_length() - 1
-        hit = m.nbr[kl] & right
-        if hit:
-            return kl, (hit & -hit).bit_length() - 1
-        candidates ^= low
-    return None
+
+def _report_rows(g: FactGraph) -> array:
+    """The report rows (see _CutReport) in 16-bit lanes, lane i for the cut
+    whose left side is 2i + 1, bar the last (left = full), 2^_BLOCK lanes a
+    block.  The lanes with vertex j on the left are 2^(j-1) lanes off and
+    2^(j-1) on, repeated, or all or none of a block.  Lanes are two equal
+    bytes until written, so taking both ways through the host byte order
+    puts lane i at item i.  Codes are below n^2: n up to 181 fits."""
+    n, order = len(g.vertices), sys.byteorder
+    lanes = 1 << min(n - 1, _BLOCK)
+    ones = int.from_bytes(b"\xff" * 2 * lanes, order)
+    patterns = [ones] + [
+        int.from_bytes((bytes(1 << j) + b"\xff" * (1 << j)) * (lanes >> j), order)
+        for j in range(1, n) if lanes >> j
+    ]
+    rows = array("h")
+    for base in range(0, 1 << n - 1, lanes):
+        xs = patterns + [ones * (base >> j - 1 & 1) for j in range(len(patterns), n)]
+        rows.frombytes(_witness_lanes(g, xs, ones, 0xFFFF).to_bytes(2 * lanes, order))
+    del rows[-1]
+    return rows
 
 
 def _witness(g: FactGraph, kl: int, kr: int) -> CutWitness:
@@ -150,8 +168,10 @@ def cut_reducible_extremal(g: FactGraph, cut: Cut) -> CutWitness | None:
     such that a pair member extremal in the whole graph is isolated in
     its side.  Such a pair certifies the cut's tensor product reducible."""
     _check_cut(g, cut)
-    pair = _extremal_pair(g.masks, g.masks.of(cut.left))
-    return None if pair is None else _witness(g, *pair)
+    n, left = len(g.vertices), g.masks.of(cut.left)
+    lane = (1 << 2 * n.bit_length()) - 1  # one lane, wider than any witness code
+    row = _witness_lanes(g, [lane * (left >> j & 1) for j in range(n)], lane, lane)
+    return None if row == lane else _witness(g, *divmod(row, n))
 
 
 def cut_arrowless_simple(g: FactGraph, cut: Cut) -> bool:
@@ -252,23 +272,10 @@ def dual_neighborhood_certificate(
     return DualCertificate(tuple(witnesses))
 
 
-def _cut_class(g: FactGraph, cut: Cut, row: int) -> CutClass:
-    """The class of a crossing cut from its report row: kl * n + kr for
-    the extremal witness (kl, kr), or -1 for Undetermined."""
-    if row < 0:
-        return CutClass(cut, "Undetermined")
-    return CutClass(cut, "ReducibleByExtremal", _witness(g, *divmod(row, len(g.vertices))))
-
-
-def _report_row(m: BitMasks, left: int) -> int:
-    pair = _extremal_pair(m, left)
-    return -1 if pair is None else pair[0] * len(m.ids) + pair[1]
-
-
 class _CutReport(Sequence[CutClass]):
-    """The Unknown report: one int row per cut (see _cut_class), in the
-    order of lefts.  Entries are built only when read; the report compares,
-    hashes and prints as the tuple of its entries."""
+    """The Unknown report: one 16-bit row per cut in the order of lefts,
+    kl * n + kr for its extremal witness (kl, kr) or -1 for Undetermined.
+    Entries are built only when read; ==, hash and repr see their tuple."""
 
     def __init__(self, graph: FactGraph, lefts: range, rows: array) -> None:
         self.graph = graph
@@ -285,7 +292,10 @@ class _CutReport(Sequence[CutClass]):
         return [witness(kl, kr) for kl in range(n) for kr in range(n)] + [undetermined]
 
     def _entry(self, left: int, row: int) -> CutClass:
-        return _cut_class(self.graph, self.graph.masks.cut(left), row)
+        g, cut = self.graph, self.graph.masks.cut(left)
+        if row < 0:
+            return CutClass(cut, "Undetermined")
+        return CutClass(cut, "ReducibleByExtremal", _witness(g, *divmod(row, len(g.vertices))))
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -310,7 +320,8 @@ class _CutReport(Sequence[CutClass]):
 def classify_cut(g: FactGraph, cut: Cut) -> CutClass:
     if cut_arrowless_simple(g, cut):
         return CutClass(cut, "ReducibleByArrowless")
-    return _cut_class(g, cut, _report_row(g.masks, g.masks.of(cut.left)))
+    witness = cut_reducible_extremal(g, cut)
+    return CutClass(cut, "Undetermined" if witness is None else "ReducibleByExtremal", witness)
 
 
 def classify(g: FactGraph, max_cut_vertices: int = 20) -> Verdict:
@@ -350,8 +361,7 @@ def classify(g: FactGraph, max_cut_vertices: int = 20) -> Verdict:
     if all(_dual_base(m, rows, left) for left in lefts):
         return Verdict("Prime", certificate="DualNeighborhood")
     # The graph is connected, so an arrow crosses every cut.
-    rows = array("i", map(partial(_report_row, m), lefts))
-    return Verdict("Unknown", report=_CutReport(g, lefts, rows))
+    return Verdict("Unknown", report=_CutReport(g, lefts, _report_rows(g)))
 
 
 def _check_chain(

@@ -9,7 +9,6 @@ from qfactgraph import (
     Snake,
     SkewShape,
     build_graph,
-    canonical,
     classify,
     parse_poly,
     q_factorize,
@@ -87,10 +86,11 @@ UNKNOWN = {
 
 
 def unknown_verdict(n: int):
-    """The polynomial, canonical graph and Unknown verdict of UNKNOWN[n]."""
+    """The polynomial, graph and Unknown verdict of UNKNOWN[n], built the
+    way the CLI's verdict builds them."""
     rank, text = UNKNOWN[n]
     poly = parse_poly(text, DynkinA(rank))
-    graph = canonical(build_graph(q_factorize(poly)))
+    graph = build_graph(q_factorize(poly))
     verdict = classify(graph)
     assert len(graph.vertices) == n and verdict.outcome == "Unknown"
     assert len(verdict.report) == 2 ** (n - 1) - 1

@@ -26,6 +26,14 @@ thing: they read the three dict adjacencies ``FactGraph`` used to cache
 (``_out_adj``, ``_in_adj``, ``_undirected_adj``, built here from the
 arrows), so they share nothing with the masks they check.
 
+``unions`` through ``_report_row`` are the per-cut extremal-pair test
+the bit-sliced report rows replaced, copied unchanged but for one
+thing: the half tables of mask unions (``BitMasks.unions``) and the
+mask of sources and sinks (``BitMasks.extremal``) are functions here
+instead of cached fields of the masks (the tables are cached for the
+last masks object).  They read the union of the out-
+and in-masks over a side from two half-table lookups, one cut at a time.
+
 ``_verdict_to_json`` is the CLI's verdict encoder before the report was
 streamed from its rows, copied unchanged: every report entry is a dict
 with two freshly sorted id lists, read from the entry's ``Cut``, and the
@@ -35,6 +43,8 @@ CLI printed ``json.dumps`` of the whole dict at once.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
+from functools import lru_cache
+from operator import or_
 from typing import Iterator, Iterable, Mapping, Sequence
 
 from qfactgraph import (
@@ -66,7 +76,7 @@ from qfactgraph import (
 )
 from qfactgraph.dynkin import reducible
 from qfactgraph.primality import CutWitness, DualCutWitness
-from qfactgraph.fgraph import _LEVELS, ValidationFailure, ValidationReport
+from qfactgraph.fgraph import _LEVELS, BitMasks, ValidationFailure, ValidationReport
 from qfactgraph.redsets import SIMPLE, _check_lengths
 
 
@@ -723,3 +733,50 @@ def _verdict_to_json(v: Verdict) -> dict:
             for c in v.report
         ]
     return out
+
+
+@lru_cache(maxsize=1)
+def unions(m: BitMasks) -> tuple[list[int], list[int], list[int], list[int]]:
+    """Half tables (out_lo, out_hi, inn_lo, inn_hi) of mask unions: the
+    union of out[j] over the bits j of a mask S is
+    ``out_lo[S & low] | out_hi[S >> half]``, and that of inn[j] likewise."""
+    return (*m.half_tables(m.out, or_, 0), *m.half_tables(m.inn, or_, 0))
+
+
+def extremal(m: BitMasks) -> int:
+    """The mask of the sources and sinks."""
+    return sum(1 << k for k, (o, i) in enumerate(zip(m.out, m.inn)) if not o or not i)
+
+
+def _extremal_pair(m: BitMasks, left: int) -> tuple[int, int] | None:
+    """The bits (kl, kr) of cut_reducible_extremal's witness on the cut
+    whose left side is the mask left: the lowest passing kl with a passing
+    neighbour on the right, and the lowest such neighbour kr.
+
+    A vertex passes in its side if it is extremal there (no in-neighbour
+    or no out-neighbour in the side), and isolated there if it is extremal
+    in the whole graph.  It has an in-neighbour in the side iff it lies in
+    heads, the union of out over the side, and an out-neighbour iff it lies
+    in tails, the union of inn; both come from the half tables."""
+    out_lo, out_hi, inn_lo, inn_hi = unions(m)
+    inner = m.full ^ extremal(m)
+    passing = []
+    for side in (left, m.full ^ left):
+        lo, hi = side & m.low, side >> m.half
+        heads = out_lo[lo] | out_hi[hi]
+        tails = inn_lo[lo] | inn_hi[hi]
+        passing.append(side & (~(heads | tails) | inner & ~(heads & tails)))
+    candidates, right = passing
+    while candidates:
+        low = candidates & -candidates
+        kl = low.bit_length() - 1
+        hit = m.nbr[kl] & right
+        if hit:
+            return kl, (hit & -hit).bit_length() - 1
+        candidates ^= low
+    return None
+
+
+def _report_row(m: BitMasks, left: int) -> int:
+    pair = _extremal_pair(m, left)
+    return -1 if pair is None else pair[0] * len(m.ids) + pair[1]

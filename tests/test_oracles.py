@@ -1,12 +1,14 @@
 """Differential tests: the reducibility kernel, the shared construction
-loop, validate, the bitmask cut engine, the endpoint-sweep
-q-factorization, the center-window pair scans, the topological order
-check and the mask-based order structure against the reference
-implementations in oracles.py."""
+loop, validate, the bitmask cut engine, the bit-sliced report rows, the
+endpoint-sweep q-factorization, the center-window pair scans, the
+topological order check and the mask-based order structure against the
+reference implementations in oracles.py."""
 
 from __future__ import annotations
 
 import random
+import sys
+from array import array
 from collections import Counter
 from dataclasses import replace
 from io import StringIO
@@ -18,6 +20,7 @@ from hypothesis import HealthCheck, given, settings
 import oracles
 from qfactgraph import (
     Arrow,
+    CutClass,
     CyclicGraph,
     DrinfeldPoly,
     DynkinA,
@@ -49,6 +52,7 @@ from qfactgraph import (
     transitive_reduction,
     validate,
 )
+from qfactgraph import primality
 from qfactgraph.cli import _dumps, _write_verdict
 from qfactgraph.dynkin import reducibility_bounds, reducible
 from qfactgraph.fgraph import _forced_arrows, ancestors, descendants
@@ -239,6 +243,19 @@ def assert_order_matches_oracle(g: FactGraph) -> None:
         assert new(g) == old(g), new.__name__
 
 
+def oracle_rows(g: FactGraph) -> array:
+    """The report rows of every cut of g by the per-cut half-table test."""
+    return array("h", (oracles._report_row(g.masks, left) for left in g.masks.lefts(20)))
+
+
+def row_of(g: FactGraph, witness) -> int:
+    """The report row that names an extremal witness, or -1 for None."""
+    if witness is None:
+        return -1
+    index = g.masks.index
+    return index[witness.left_vertex] * len(g.vertices) + index[witness.right_vertex]
+
+
 @settings(max_examples=500, **COMMON)
 @given(
     st.integers(2, 7),
@@ -247,7 +264,14 @@ def assert_order_matches_oracle(g: FactGraph) -> None:
     st.integers(0, 2**32 - 1),
 )
 def test_cut_engine_matches_oracle(rank, size, mode, seed):
-    g = grown_graph(DynkinA(rank), size, mode, random.Random(seed))
+    # Blocks of 2^2 lanes, so that the rows of every graph of 4 or more
+    # vertices span several blocks.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(primality, "_BLOCK", 2)
+        check_cut_engine(grown_graph(DynkinA(rank), size, mode, random.Random(seed)))
+
+
+def check_cut_engine(g: FactGraph) -> None:
     assert_order_matches_oracle(g)
     expected = oracles.classify(g)
     verdict = classify(g)
@@ -263,12 +287,37 @@ def test_cut_engine_matches_oracle(rank, size, mode, seed):
         old_classes = expected.report
     else:
         old_classes = [oracles.classify_cut(g, cut) for cut in old_cuts]
-    for cut, old in zip(old_cuts, old_classes, strict=True):
+    # The sliced rows, and the witness of every single cut, are also the
+    # per-cut half-table test's.
+    old_rows = oracle_rows(g)
+    assert primality._report_rows(g) == old_rows
+    for cut, old, row in zip(old_cuts, old_classes, old_rows, strict=True):
         assert classify_cut(g, cut) == old
         # On a crossing cut, classify_cut's witness is cut_reducible_extremal's.
         old_witness = old.witness if cut.crossing else oracles.cut_reducible_extremal(g, cut)
-        assert cut_reducible_extremal(g, cut) == old_witness
+        witness = cut_reducible_extremal(g, cut)
+        assert witness == old_witness and row_of(g, witness) == row
     assert dual_neighborhood_certificate(g) == oracles.dual_neighborhood_certificate(g)
+
+
+@pytest.mark.parametrize("n", (11, 12, 13))
+def test_sliced_rows_match_oracle_across_blocks(n):
+    # At 12 and 13 vertices the 2^(n-1) lanes span 2 and 4 blocks of 1,024.
+    _, graph, verdict = unknown_verdict(n)
+    old_rows = oracle_rows(graph)
+    assert verdict.report.rows == old_rows
+    for cut, row in zip(cuts(graph), old_rows, strict=True):
+        witness = cut_reducible_extremal(graph, cut)
+        assert row_of(graph, witness) == row
+        status = "Undetermined" if witness is None else "ReducibleByExtremal"
+        assert classify_cut(graph, cut) == CutClass(cut, status, witness)
+    # Lane i lands at item i through either host byte order: the rows
+    # computed as on a host of the other order are these rows byteswapped.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sys, "byteorder", {"little": "big", "big": "little"}[sys.byteorder])
+        swapped = primality._report_rows(graph)
+    swapped.byteswap()
+    assert swapped == verdict.report.rows
 
 
 @pytest.mark.parametrize("n", (3, 11, 12))
