@@ -48,19 +48,24 @@ class DynkinA:
         self.check_node(j)
         return frozenset(range(min(i, j), max(i, j) + 1))
 
-    def boundary_distance(self, nodes: Iterable[int]) -> int:
-        """Distance from a connected interval of nodes to the diagram boundary.
-
-        Equals min(min(J) - 1, n - max(J)) for an interval J.
-        """
-        js = sorted(set(nodes))
+    def check_interval(self, nodes: Iterable[int]) -> tuple[int, int]:
+        """The ends (lo, hi) of a nonempty connected interval of nodes.  A
+        unit-step range is checked in place, so a huge one fails by node
+        n + 1 and is never materialized."""
+        js = nodes if isinstance(nodes, range) and nodes.step == 1 else sorted(set(nodes))
         if not js:
-            raise InvalidInterval("empty node set")
+            raise InvalidInterval("empty node interval")
         for j in js:
             self.check_node(j)
-        if js != list(range(js[0], js[-1] + 1)):
+        if js[-1] - js[0] + 1 != len(js):  # sorted distinct ints with a gap
             raise InvalidInterval(f"{js} is not a connected interval")
-        return min(js[0] - 1, self.n - js[-1])
+        return js[0], js[-1]
+
+    def boundary_distance(self, nodes: Iterable[int]) -> int:
+        """Distance min(lo - 1, n - hi) from a connected interval [lo, hi]
+        of nodes to the diagram boundary."""
+        lo, hi = self.check_interval(nodes)
+        return min(lo - 1, self.n - hi)
 
     def star(self, i: int) -> int:
         """The diagram involution i -> n + 1 - i."""

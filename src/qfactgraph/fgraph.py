@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from operator import attrgetter
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
 from .dynkin import DynkinA, reducible
 from .errors import (
@@ -63,6 +63,7 @@ __all__ = [
 
 Vertex = KRFactor  # the graph-side name; a vertex's weight is its length
 T = TypeVar("T")
+_CUT_CAP = 20  # the most vertices whose 2^(n-1) - 1 cuts are walked by default
 
 
 class Arrow(NamedTuple):
@@ -171,16 +172,10 @@ class BitMasks:
         self.low = (1 << self.half) - 1
         self._arrows = g.arrows
 
-    # The fields below are read only by the cut stage, which most graphs
-    # never reach, so each is built on first use.
-
-    @cached_property
-    def _vertex_set(self) -> frozenset[int]:
-        return frozenset(self.ids)
-
     @cached_property
     def arrow_bits(self) -> tuple[tuple[Arrow, int, int], ...]:
-        """Every arrow of g.arrows, in order, with its tail and head bits."""
+        """Every arrow of g.arrows, in order, with its tail and head bits;
+        built on first use, since only the cut stage reads it."""
         return tuple((a, self.index[a.tail], self.index[a.head]) for a in self._arrows)
 
     def half_tables(
@@ -197,13 +192,6 @@ class BitMasks:
                 table += [join(t, value) for t in table]
             tables.append(table)
         return tables[0], tables[1]
-
-    def of(self, vertices: Iterable[int]) -> int:
-        """The mask of a collection of vertex ids of the graph."""
-        mask = 0
-        for v in vertices:
-            mask |= 1 << self.index[v]
-        return mask
 
     def members(self, mask: int) -> tuple[int, ...]:
         """The vertex ids of the bits of mask, ascending."""
@@ -223,7 +211,7 @@ class BitMasks:
         """The cut whose left side is the mask left."""
         members = frozenset(v for k, v in enumerate(self.ids) if left >> k & 1)
         crossing = tuple(a for a, t, h in self.arrow_bits if left >> t & 1 != left >> h & 1)
-        return Cut(members, self._vertex_set - members, crossing)
+        return Cut(members, frozenset(self.ids) - members, crossing)
 
 
 def _forced_arrows(rank: DynkinA, items: Sequence[tuple[int, KRFactor]]) -> list[Arrow]:
@@ -395,23 +383,24 @@ def subgraph(g: FactGraph, ids) -> FactGraph:
     return FactGraph(g.rank, vertices, arrows)
 
 
-def connected_components(g: FactGraph) -> list[FactGraph]:
-    """The components as induced subgraphs, by smallest id: each is the
-    closure over nbr of the lowest vertex not yet assigned.  Every vertex
-    gets its component's index, and one pass deals the arrows out."""
-    m = g.masks
-    owner = [0] * len(m.ids)
-    vertices: list[dict[int, KRFactor]] = []
+def _component_masks(m: BitMasks) -> Iterator[int]:
+    """The component masks by lowest bit, each the nbr closure of the lowest vertex left."""
     rest = m.full
     while rest:
-        comp = _closure(m.nbr, rest & -rest, m.full)
+        comp = _closure(m.nbr, rest & -rest, rest)
         rest ^= comp
-        for k in _bits(comp):
-            owner[k] = len(vertices)
-        vertices.append({v: g.vertices[v] for v in m.members(comp)})
-    arrows: list[list[Arrow]] = [[] for _ in vertices]
+        yield comp
+
+
+def connected_components(g: FactGraph) -> list[FactGraph]:
+    """The components as induced subgraphs, by smallest id; one pass deals the arrows out."""
+    m = g.masks
+    parts = [m.members(comp) for comp in _component_masks(m)]
+    owner = {v: c for c, ids in enumerate(parts) for v in ids}
+    arrows: list[list[Arrow]] = [[] for _ in parts]
     for a in g.arrows:
-        arrows[owner[m.index[a.tail]]].append(a)
+        arrows[owner[a.tail]].append(a)
+    vertices = ({v: g.vertices[v] for v in ids} for ids in parts)
     return [FactGraph(g.rank, vs, tuple(arr)) for vs, arr in zip(vertices, arrows)]
 
 
@@ -497,8 +486,7 @@ def is_tournament(g: FactGraph) -> bool:
 
 def is_tree(g: FactGraph) -> bool:
     m = g.masks
-    connected = bool(m.ids) and _closure(m.nbr, 1, m.full) == m.full
-    return connected and len(g.arrows) == len(m.ids) - 1
+    return list(_component_masks(m)) == [m.full] and len(g.arrows) == len(m.ids) - 1
 
 
 def is_line(g: FactGraph) -> bool:
@@ -524,7 +512,7 @@ def neighborhoods(g: FactGraph, v: int, sign: int) -> frozenset[int]:
     raise ValueError(f"sign must be +1 or -1, got {sign!r}")
 
 
-def cuts(g: FactGraph, max_vertices: int = 20) -> Iterator[Cut]:
+def cuts(g: FactGraph, max_vertices: int = _CUT_CAP) -> Iterator[Cut]:
     """All unordered nontrivial bipartitions with their crossing arrows."""
     masks = g.masks
     return map(masks.cut, masks.lefts(max_vertices))

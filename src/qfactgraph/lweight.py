@@ -36,6 +36,13 @@ __all__ = [
 ]
 
 
+def check_length(*lengths: int) -> None:
+    """Refuse the first of lengths that is not an int >= 1 (nor a bool)."""
+    for v in lengths:
+        if type(v) is not int or v < 1:
+            raise NonPositiveLength(f"string length must be >= 1, got {v!r}")
+
+
 @dataclass(frozen=True, order=True)
 class KRFactor:
     """One KR string: color, center exponent, length, coset tag.
@@ -51,8 +58,7 @@ class KRFactor:
     def __post_init__(self) -> None:
         if not (type(self.color) is type(self.center) is type(self.coset) is int):
             raise TypeError(f"color, center and coset must be ints, got {self!r}")
-        if type(self.length) is not int or self.length < 1:
-            raise NonPositiveLength(f"string length must be >= 1, got {self.length!r}")
+        check_length(self.length)
 
     @property
     def weight(self) -> int:

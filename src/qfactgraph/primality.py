@@ -23,17 +23,16 @@ from .errors import (
     PreconditionViolated,
 )
 from .fgraph import (
+    _CUT_CAP,
     Arrow,
     BitMasks,
     Cut,
     FactGraph,
     _bits,
     _closure,
-    connected_components,
+    _component_masks,
     is_line,
-    is_monotonic_line,
     is_totally_ordered,
-    to_polynomial,
     validate,
 )
 from .lweight import DrinfeldPoly
@@ -103,12 +102,20 @@ class Verdict:
     reason: str | None = None  # "cap-exceeded": too many vertices to walk the cuts
 
 
-def _check_cut(g: FactGraph, cut: Cut) -> None:
-    ids = set(g.ids())
-    if set(cut.left) | set(cut.right) != ids or set(cut.left) & set(cut.right):
+def _left_mask(g: FactGraph, cut: Cut) -> int:
+    """The left mask of a cut whose sides split the vertices into two
+    nonempty sets; an id that is not a vertex sets bit n, past all of them."""
+    index, n = g.masks.index, len(g.vertices)
+    left = right = 0
+    for v in cut.left:
+        left |= 1 << index.get(v, n)
+    for v in cut.right:
+        right |= 1 << index.get(v, n)
+    if left | right != g.masks.full or left & right:
         raise InvalidCut("cut sides do not bipartition the vertex set")
-    if not cut.left or not cut.right:
+    if not left or not right:
         raise InvalidCut("cut sides must both be nonempty")
+    return left
 
 
 def _witness_lanes(g: FactGraph, xs: list[int], ones: int, lane: int) -> int:
@@ -163,24 +170,28 @@ def _witness(g: FactGraph, kl: int, kr: int) -> CutWitness:
     return CutWitness(vl, vr, amap.get((vl, vr)) or amap.get((vr, vl)))
 
 
-def cut_reducible_extremal(g: FactGraph, cut: Cut) -> CutWitness | None:
-    """Search the cut for an adjacent pair, extremal in their own sides,
-    such that a pair member extremal in the whole graph is isolated in
-    its side.  Such a pair certifies the cut's tensor product reducible."""
-    _check_cut(g, cut)
-    n, left = len(g.vertices), g.masks.of(cut.left)
+def _extremal_witness(g: FactGraph, left: int) -> CutWitness | None:
+    n = len(g.vertices)
     lane = (1 << 2 * n.bit_length()) - 1  # one lane, wider than any witness code
     row = _witness_lanes(g, [lane * (left >> j & 1) for j in range(n)], lane, lane)
     return None if row == lane else _witness(g, *divmod(row, n))
 
 
+def _arrowless(m: BitMasks, left: int) -> bool:
+    return not any(m.nbr[k] & ~left for k in _bits(left))
+
+
+def cut_reducible_extremal(g: FactGraph, cut: Cut) -> CutWitness | None:
+    """Search the cut for an adjacent pair, extremal in their own sides,
+    such that a pair member extremal in the whole graph is isolated in
+    its side.  Such a pair certifies the cut's tensor product reducible."""
+    return _extremal_witness(g, _left_mask(g, cut))
+
+
 def cut_arrowless_simple(g: FactGraph, cut: Cut) -> bool:
     """True iff no arrow of the graph crosses the cut; the cut then factors
     the module.  The cut's own crossing field is not trusted."""
-    _check_cut(g, cut)
-    m = g.masks
-    right = m.of(cut.right)
-    return not any(m.nbr[k] & right for k in _bits(m.full ^ right))
+    return _arrowless(g.masks, _left_mask(g, cut))
 
 
 class _DualRows:
@@ -255,7 +266,7 @@ def _dual_cut_witness(
 
 
 def dual_neighborhood_certificate(
-    g: FactGraph, max_cut_vertices: int = 20
+    g: FactGraph, max_cut_vertices: int = _CUT_CAP
 ) -> DualCertificate | None:
     """Try to certify primality by exhibiting, for every cut, a base pair
     joined by an arrow whose punctured neighborhood products are all
@@ -318,13 +329,14 @@ class _CutReport(Sequence[CutClass]):
 
 
 def classify_cut(g: FactGraph, cut: Cut) -> CutClass:
-    if cut_arrowless_simple(g, cut):
+    left = _left_mask(g, cut)
+    if _arrowless(g.masks, left):
         return CutClass(cut, "ReducibleByArrowless")
-    witness = cut_reducible_extremal(g, cut)
+    witness = _extremal_witness(g, left)
     return CutClass(cut, "Undetermined" if witness is None else "ReducibleByExtremal", witness)
 
 
-def classify(g: FactGraph, max_cut_vertices: int = 20) -> Verdict:
+def classify(g: FactGraph, max_cut_vertices: int = _CUT_CAP) -> Verdict:
     """Decide primality of the module attached to a q-factorization graph.
 
     Pipeline: disconnected graphs factor across components (NotPrime);
@@ -342,17 +354,20 @@ def classify(g: FactGraph, max_cut_vertices: int = 20) -> Verdict:
         # tensor product; it is not prime and its witness is empty.
         return Verdict("NotPrime", witness=())
     m = g.masks
-    if _closure(m.nbr, 1, m.full) != m.full:  # vertex 0 misses a component
-        return Verdict(
-            "NotPrime", witness=tuple(map(to_polynomial, connected_components(g)))
-        )
+    components = list(_component_masks(m))
+    if len(components) > 1:
+        factors = (tuple(g.vertices[v] for v in m.members(comp)) for comp in components)
+        return Verdict("NotPrime", witness=tuple(DrinfeldPoly(g.rank, f) for f in factors))
     n = len(g.vertices)
     if n == 1:
         return Verdict("Prime", certificate="SingleVertex")
     if n == 2:
         return Verdict("Prime", certificate="TwoVertexConnected")
     if is_totally_ordered(g):
-        cert = "TotallyOrderedLine" if is_monotonic_line(g) else "TotallyOrdered"
+        # The covering pairs u > w of a total order are arrows (a longer path
+        # passes a vertex between them) and form the monotonic line; validate
+        # allows one arrow per pair, so the graph is that line iff n - 1 arrows.
+        cert = "TotallyOrderedLine" if len(g.arrows) == n - 1 else "TotallyOrdered"
         return Verdict("Prime", certificate=cert)
     if n > max_cut_vertices:
         return Verdict("Unknown", reason="cap-exceeded")

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .dynkin import DynkinA, reducibility_bounds, reducible
-from .errors import IntervalDoesNotContain, InvalidInterval, NonPositiveLength
-from .lweight import KRFactor
+from .errors import IntervalDoesNotContain
+from .lweight import KRFactor, check_length
 
 __all__ = [
     "RSet",
@@ -56,15 +56,9 @@ class RSet:
         return max(0, (self.hi - self.lo) // 2 + 1)
 
 
-def _check_lengths(r: int, s: int) -> None:
-    for v in (r, s):
-        if not isinstance(v, int) or v < 1:
-            raise NonPositiveLength(f"string length must be >= 1, got {v!r}")
-
-
 def rset(d: DynkinA, i: int, j: int, r: int, s: int) -> RSet:
     """Reducibility set for the KR pair (i, r), (j, s) over the full diagram."""
-    _check_lengths(r, s)
+    check_length(r, s)
     d.check_node(i)
     d.check_node(j)
     return RSet(i, j, r, s, None, *reducibility_bounds(i, j, r, s, 1, d.n))
@@ -78,27 +72,18 @@ def rset_restricted(
     J must be a connected interval containing [i, j]; its endpoints play
     the role of the diagram boundary.
     """
-    _check_lengths(r, s)
-    # A unit-step range is checked in place: its node check fails by node
-    # n + 1, so a huge range is never materialized.
-    js = J if isinstance(J, range) and J.step == 1 else sorted(set(J))
-    if not js:
-        raise InvalidInterval("empty restricting interval")
-    for node in js:
-        d.check_node(node)
-    js = list(js)
-    if js != list(range(js[0], js[-1] + 1)):
-        raise InvalidInterval(f"{js} is not a connected interval")
+    check_length(r, s)
+    lo, hi = d.check_interval(J)
     d.check_node(i)
     d.check_node(j)
-    if not js[0] <= min(i, j) <= max(i, j) <= js[-1]:
-        raise IntervalDoesNotContain(f"interval {js} does not contain [{i}, {j}]")
-    return RSet(i, j, r, s, (js[0], js[-1]), *reducibility_bounds(i, j, r, s, js[0], js[-1]))
+    if not lo <= min(i, j) <= max(i, j) <= hi:
+        raise IntervalDoesNotContain(f"interval [{lo}, {hi}] does not contain [{i}, {j}]")
+    return RSet(i, j, r, s, (lo, hi), *reducibility_bounds(i, j, r, s, lo, hi))
 
 
 def rset_same_node(d: DynkinA, i: int, r: int, s: int) -> RSet:
     """Single-node reducibility set {r + s - 2p : 0 <= p < min(r, s)}."""
-    _check_lengths(r, s)
+    check_length(r, s)
     d.check_node(i)
     return RSet(i, i, r, s, (i, i), *reducibility_bounds(i, i, r, s, i, i))
 

@@ -4,7 +4,9 @@ These are the closed forms and pair loops the library used before the
 reducibility kernel (``dynkin.reducibility_bounds``) and the shared
 construction loop replaced them, copied unchanged.  They recompute every
 reducibility set through ``DynkinA.distance`` and ``boundary_distance``,
-so they share no arithmetic with the kernel they check.
+so they share no arithmetic with the kernel they check.  Their length
+check ``_check_lengths`` is the one ``redsets`` kept before the rule moved
+to ``lweight.check_length``, copied unchanged (it accepts a bool).
 
 The cut stage below (``cuts`` through ``classify``) is the set-based
 version the bitmask cut engine replaced, also copied unchanged: every
@@ -61,6 +63,7 @@ from qfactgraph import (
     InvalidCut,
     InvalidInterval,
     KRFactor,
+    NonPositiveLength,
     NotQFactGraph,
     PairRelation,
     RSet,
@@ -77,7 +80,13 @@ from qfactgraph import (
 from qfactgraph.dynkin import reducible
 from qfactgraph.primality import CutWitness, DualCutWitness
 from qfactgraph.fgraph import _LEVELS, BitMasks, ValidationFailure, ValidationReport
-from qfactgraph.redsets import SIMPLE, _check_lengths
+from qfactgraph.redsets import SIMPLE
+
+
+def _check_lengths(r: int, s: int) -> None:
+    for v in (r, s):
+        if not isinstance(v, int) or v < 1:
+            raise NonPositiveLength(f"string length must be >= 1, got {v!r}")
 
 
 def rset(d: DynkinA, i: int, j: int, r: int, s: int) -> RSet:

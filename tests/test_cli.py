@@ -164,13 +164,13 @@ def test_verdict_canonicalizes_first():
     [
         (8, "6:0:1 7:3:1 8:6:1 5:-3:1", "Prime", 1),
         (*UNKNOWN[13], "Unknown", 1),
-        (3, "1:0:1 3:40:1 2:90:1", "NotPrime", 4),
+        (3, "1:0:1 3:40:1 2:90:1", "NotPrime", 1),
     ],
     ids=["prime", "unknown", "three-components"],
 )
 def test_verdict_builds_one_graph(monkeypatch, rank, text, outcome, graphs):
-    # A connected verdict constructs only the graph of its factorization;
-    # a disconnected one adds one graph per component for its witness.
+    # Every verdict constructs only the graph of its factorization: a
+    # disconnected one reads its witness off the component masks.
     built = []
     post_init = FactGraph.__post_init__
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -41,6 +42,30 @@ def test_boundary_distance_rejects_bad_sets():
         A5.boundary_distance([1, 3])
     with pytest.raises(InvalidNode):
         A5.boundary_distance([5, 6])
+
+
+def test_check_interval_returns_the_ends():
+    assert A5.check_interval(range(2, 5)) == (2, 4)
+    assert A5.check_interval([4, 2, 3, 3]) == (2, 4)
+    assert A5.check_interval(A5.interval(5, 5)) == (5, 5)
+    for bad in ([], range(3, 3), [1, 3], range(1, 5, 2)):
+        with pytest.raises(InvalidInterval):
+            A5.check_interval(bad)
+
+
+def test_boundary_distance_rejects_a_huge_range_in_place():
+    # A unit-step range is checked node by node and fails at node n + 1,
+    # so the million-node range is never built (building it peaked at
+    # about 73 MB).
+    A3.boundary_distance(range(1, 3))  # warm up
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidNode):
+            A3.boundary_distance(range(1, 10**6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * 1024
 
 
 def test_star_examples():

@@ -420,7 +420,7 @@ def test_brute_force_closure_matches_transitive_reduction(snake_graph):
     )
 
 
-CUT_ONLY = ("_vertex_set", "arrow_bits")
+CUT_ONLY = ("arrow_bits",)
 
 
 def test_cut_only_mask_fields_are_built_on_first_use(two_source_graph):

@@ -49,6 +49,7 @@ from qfactgraph import (
     sinks,
     sources,
     subgraph,
+    to_polynomial,
     transitive_reduction,
     validate,
 )
@@ -276,6 +277,8 @@ def check_cut_engine(g: FactGraph) -> None:
     expected = oracles.classify(g)
     verdict = classify(g)
     assert verdict == expected
+    if verdict.outcome == "NotPrime":
+        assert verdict.witness == tuple(map(to_polynomial, connected_components(g)))
     # The streamed encoder prints what the dict encoder printed, on any ids.
     out = StringIO()
     _write_verdict(verdict, out)
@@ -293,11 +296,32 @@ def check_cut_engine(g: FactGraph) -> None:
     assert primality._report_rows(g) == old_rows
     for cut, old, row in zip(old_cuts, old_classes, old_rows, strict=True):
         assert classify_cut(g, cut) == old
+        # No arrow crosses an arrowless cut, so it has no extremal witness.
+        assert cut.crossing or cut_reducible_extremal(g, cut) is None
         # On a crossing cut, classify_cut's witness is cut_reducible_extremal's.
         old_witness = old.witness if cut.crossing else oracles.cut_reducible_extremal(g, cut)
         witness = cut_reducible_extremal(g, cut)
         assert witness == old_witness and row_of(g, witness) == row
     assert dual_neighborhood_certificate(g) == oracles.dual_neighborhood_certificate(g)
+
+
+def test_cluster_witness_is_the_components():
+    # Polynomials shaped like the graph-scale bench requests: grown
+    # clusters of 2-6 factors over A_10, spaced far beyond any
+    # reducibility gap.  Each cluster is one component, and the NotPrime
+    # witness read off the component masks is the polynomials of
+    # connected_components, in the same order.
+    rng, d = random.Random(401), DynkinA(10)
+    for _ in range(20):
+        factors, clusters = [], 0
+        while len(factors) < 60:
+            grown = grow(d, rng.randint(2, 6), rng)
+            factors += [replace(f, center=f.center + 400 * clusters) for f in grown]
+            clusters += 1
+        g = build_graph(q_factorize(DrinfeldPoly(d, tuple(factors))))
+        components = connected_components(g)
+        assert len(components) == clusters
+        assert classify(g).witness == tuple(map(to_polynomial, components))
 
 
 @pytest.mark.parametrize("n", (11, 12, 13))

@@ -30,9 +30,10 @@ from qfactgraph import (
     subgraph,
     tournament_family,
 )
-from qfactgraph.fgraph import Cut
+from qfactgraph import primality
+from qfactgraph.fgraph import Cut, FactGraph
 
-from conftest import A2, A3, A5, A8
+from conftest import A2, A3, A5, A8, unknown_verdict
 
 
 def cut_isolating(g, v):
@@ -149,20 +150,68 @@ def test_cut_reducible_extremal_rejects_bad_cut(triangle1_graph):
 
 def test_classify_cut_checks_the_cut_against_the_graph():
     # The rank-3 triangle with arrows 1->0, 2->0, 2->1: sides that miss a
-    # vertex or leave one side empty are refused, and a cut whose crossing
-    # field is forged empty is judged by the arrows that do cross it.
+    # vertex, share one, name a vertex the graph lacks or leave one side
+    # empty are refused, and a cut whose crossing field is forged empty is
+    # judged by the arrows that do cross it.
     g = build_graph(DrinfeldPoly(A3, (KRFactor(1, 0, 3), KRFactor(2, 3, 3), KRFactor(3, 6, 3))))
     assert [(a.tail, a.head) for a in g.arrows] == [(1, 0), (2, 0), (2, 1)]
-    uncovered = Cut(frozenset({0}), frozenset({1}), ())
-    one_sided = Cut(frozenset({0, 1, 2}), frozenset(), ())
-    for bad in (uncovered, one_sided):
-        for check in (classify_cut, cut_arrowless_simple):
-            with pytest.raises(InvalidCut):
+    split = "cut sides do not bipartition the vertex set"
+    bad_cuts = {
+        Cut(frozenset({0}), frozenset({1}), ()): split,
+        Cut(frozenset({0, 1}), frozenset({1, 2}), ()): split,
+        Cut(frozenset({0, 7}), frozenset({1, 2}), ()): split,
+        Cut(frozenset({0, 1, 2}), frozenset(), ()): "cut sides must both be nonempty",
+    }
+    for bad, message in bad_cuts.items():
+        for check in (classify_cut, cut_reducible_extremal, cut_arrowless_simple):
+            with pytest.raises(InvalidCut, match=message):
                 check(g, bad)
     forged = Cut(frozenset({0}), frozenset({1, 2}), ())
     assert not cut_arrowless_simple(g, forged)
     assert classify_cut(g, forged).status != "ReducibleByArrowless"
     assert classify_cut(g, forged).cut is forged
+
+
+def test_each_cut_function_checks_its_cut_once(monkeypatch):
+    # Checking a cut reads the masks, and every public cut function checks
+    # its cut once: classify_cut used to check it twice, each time building
+    # sets of the graph's ids.
+    _, g, _ = unknown_verdict(11)
+    g.masks  # built once per graph, before any cut is checked
+    checks, ids = [], []
+    left_mask, graph_ids = primality._left_mask, FactGraph.ids
+
+    def counted_check(g, cut):
+        checks.append(cut)
+        return left_mask(g, cut)
+
+    def counted_ids(self):
+        ids.append(self)
+        return graph_ids(self)
+
+    monkeypatch.setattr(primality, "_left_mask", counted_check)
+    monkeypatch.setattr(FactGraph, "ids", counted_ids)
+    for cut in list(cuts(g))[::50]:
+        for check in (classify_cut, cut_reducible_extremal, cut_arrowless_simple):
+            checks.clear()
+            check(g, cut)
+            assert checks == [cut] and not ids, check.__name__
+
+
+def test_arrowless_test_never_runs_the_lanes(monkeypatch, two_source_graph):
+    # cut_arrowless_simple is a plain mask test, on crossing cuts and on
+    # the arrowless cuts of a disconnected graph alike.
+    split = build_graph(parse_poly("1:0:1 1:0:1@1 2:5:1@2", A2))
+    graphs = (split, two_source_graph, unknown_verdict(11)[1])
+    all_cuts = [(g, cut) for g in graphs for cut in cuts(g)]
+
+    def refuse(*args):
+        raise AssertionError("the lane routine ran")
+
+    monkeypatch.setattr(primality, "_witness_lanes", refuse)
+    results = [cut_arrowless_simple(g, cut) for g, cut in all_cuts]
+    assert results == [not cut.crossing for _, cut in all_cuts]
+    assert True in results and False in results
 
 
 def test_cut_arrowless(two_source_graph):

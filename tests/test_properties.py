@@ -16,11 +16,13 @@ from qfactgraph import (
     build_graph,
     canonical,
     chain_p_matrix,
+    classify,
     connected_components,
     dual_kappa,
     dual_negate,
     dual_sigma,
     dual_star,
+    is_monotonic_line,
     is_q_factorization,
     is_totally_ordered,
     is_tournament,
@@ -150,6 +152,15 @@ def skew_shapes(draw, max_rank=5, max_mu=3, max_part=20):
     return SkewShape(DynkinA(n), lam, tuple(mu))
 
 
+def assert_line_certificate(g) -> None:
+    """On a totally ordered graph, n - 1 arrows is the monotonic line, and
+    classify's certificate of a q-factorization graph says which it is."""
+    n, line = len(g.vertices), is_monotonic_line(g)
+    assert (len(g.arrows) == n - 1) == line
+    if n > 2 and validate(g, "qfact").ok:
+        assert classify(g).certificate == ("TotallyOrderedLine" if line else "TotallyOrdered")
+
+
 def _root_profile(p: DrinfeldPoly) -> dict:
     out: dict[tuple[int, int], Counter] = {}
     for f in p.factors:
@@ -209,6 +220,7 @@ def test_built_graphs_validate(poly):
         assert is_totally_ordered(g)
     if is_totally_ordered(g):
         assert len(sinks(g)) == 1 and len(sources(g)) == 1
+        assert_line_certificate(g)
 
 
 @settings(max_examples=500, **COMMON)
@@ -277,6 +289,7 @@ def test_boundary_colored_totally_ordered_graphs_alternate(data):
     g = build_graph(poly)
     assert is_totally_ordered(g)
     assert alternating_line_check(g)
+    assert_line_certificate(g)
 
 
 @settings(max_examples=300, **COMMON)
@@ -286,6 +299,8 @@ def test_prime_snake_graphs_totally_ordered(snake):
     assert is_totally_ordered(pseudo)
     actual = build_graph(q_factorize(snake_to_poly(snake)))
     assert is_totally_ordered(actual)
+    for g in (pseudo, actual):
+        assert_line_certificate(g)
 
 
 @settings(max_examples=300, **COMMON)
@@ -295,3 +310,4 @@ def test_skew_components_totally_ordered(shape):
     g = build_graph(q_factorize(poly))
     for comp in connected_components(g):
         assert is_totally_ordered(comp)
+        assert_line_certificate(comp)

@@ -1,13 +1,16 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 
 from qfactgraph import (
     IntervalDoesNotContain,
+    InvalidInterval,
     InvalidNode,
     KRFactor,
+    NonPositiveLength,
     kr_dual_pair_simple,
     kr_pair_relation,
     rset,
@@ -33,6 +36,44 @@ def test_rset_restricted_examples():
 def test_rset_restricted_needs_containing_interval():
     with pytest.raises(IntervalDoesNotContain):
         rset_restricted(A5, 2, 4, 1, 1, [2, 3])
+
+
+def test_rset_refuses_bool_lengths():
+    # A bool is not a string length, for the sets as for KRFactor.
+    for bad in (True, False):
+        for r, s in ((bad, 1), (1, bad)):
+            with pytest.raises(NonPositiveLength):
+                rset(A3, 1, 1, r, s)
+            with pytest.raises(NonPositiveLength):
+                rset_restricted(A3, 1, 2, r, s, range(1, 4))
+            with pytest.raises(NonPositiveLength):
+                rset_same_node(A3, 1, r, s)
+
+
+def test_rset_restricted_checks_in_order():
+    # Lengths, then the interval, then the nodes, then containment.
+    with pytest.raises(NonPositiveLength):
+        rset_restricted(A3, 9, 9, 0, 1, [])
+    with pytest.raises(InvalidInterval):
+        rset_restricted(A3, 9, 9, 1, 1, [])
+    with pytest.raises(InvalidNode):
+        rset_restricted(A3, 9, 1, 1, 1, [1, 2])
+    with pytest.raises(IntervalDoesNotContain):
+        rset_restricted(A3, 1, 3, 1, 1, range(1, 3))
+
+
+def test_rset_restricted_rejects_a_huge_range_in_place():
+    # The interval check stops at node n + 1 without building the range;
+    # a million nodes bound the memory a broken guard could take.
+    rset_restricted(A3, 1, 1, 1, 1, range(1, 3))  # warm up
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidNode):
+            rset_restricted(A3, 1, 1, 1, 1, range(1, 10**6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * 1024
 
 
 def test_rset_rejects_bad_nodes():
