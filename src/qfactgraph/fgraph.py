@@ -367,7 +367,8 @@ def validate(g: FactGraph, level: str = "qfact") -> ValidationReport:
                 "qfact-violation",
                 (u, w),
                 f"|{vu.center - vw.center}| = {abs(vu.center - vw.center)} lies in the "
-                f"same-color reducibility set {list(rs.members)} for color {vu.color}",
+                f"same-color reducibility set from {rs.lo} to {rs.hi} in steps of 2 "
+                f"for color {vu.color}",
             )
         )
     return ValidationReport(level, tuple(fails))

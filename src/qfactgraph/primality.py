@@ -205,64 +205,43 @@ class _DualRows:
         self.known = [0] * len(self.factors)
         self.simple = [0] * len(self.factors)
 
-    def covers(self, x: int, need: int) -> bool:
-        """True iff vertex x is dual-simple against every vertex of need."""
-        todo = need & ~self.known[x]
-        if todo:
-            fx = self.factors[x]
-            for y in _bits(todo):
-                if kr_dual_pair_simple(self.rank, fx, self.factors[y]):
-                    self.simple[x] |= 1 << y
-            self.known[x] |= todo
-        return not need & ~self.simple[x]
-
     def all_simple(self, upper: int, lower: int, top: int, bottom: int) -> bool:
         """Every vertex of upper is dual-simple against every vertex of
-        lower, except for the base pair (top, bottom)."""
-        return all(
-            self.covers(x, lower & ~(1 << bottom) if x == top else lower)
-            for x in _bits(upper)
-        )
+        lower, except for the base pair (top, bottom).  A row is filled
+        only as far as a test needs it, and the test stops at the first
+        vertex of upper that fails."""
+        for x in _bits(upper):
+            need = lower & ~(1 << bottom) if x == top else lower
+            todo = need & ~self.known[x]
+            for y in _bits(todo):
+                if kr_dual_pair_simple(self.rank, self.factors[x], self.factors[y]):
+                    self.simple[x] |= 1 << y
+            self.known[x] |= todo
+            if need & ~self.simple[x]:
+                return False
+        return True
 
 
-def _dual_base(
-    m: BitMasks, rows: _DualRows, left: int
-) -> tuple[int, int, int, int, int] | None:
+def _dual_base(m: BitMasks, rows: _DualRows, left: int) -> tuple[int, int, int, int] | None:
     """The first base pair (kl, kr) of the cut whose left side is the mask
-    left that passes the dual test, as (kl, kr, condition, upper, lower)
-    with upper and lower the neighborhoods whose pairs were tested, or
-    None."""
+    left that passes the dual test, as (kl, kr, condition, tested) with
+    tested the vertices whose pairs were tested, or None.
+
+    An arrow t -> h across the cut passes if every vertex of upper (h and
+    its ancestors on h's side) is dual-simple against every vertex of lower
+    (t and its descendants on t's side), bar the pair (h, t) itself.  Both
+    arrows of a pair are tried, kr -> kl first; condition is 1 exactly when
+    h is on the left."""
     right = m.full ^ left
     for kl in _bits(left):
         for kr in _bits(m.nbr[kl] & right):
-            # The monotone neighborhoods of the base vertices include the
-            # bases; only the base pair itself is exempt from the test.
-            if m.out[kr] >> kl & 1:
-                upper = _closure(m.inn, 1 << kl, left)
-                lower = _closure(m.out, 1 << kr, right)
-                if rows.all_simple(upper, lower, kl, kr):
-                    return kl, kr, 1, upper, lower
-            if m.out[kl] >> kr & 1:
-                # Mirrored condition: the left member is dualized, which is
-                # the same simplicity test with the arguments swapped.
-                upper = _closure(m.inn, 1 << kr, right)
-                lower = _closure(m.out, 1 << kl, left)
-                if rows.all_simple(upper, lower, kr, kl):
-                    return kl, kr, 2, upper, lower
+            for h, t, condition, side in ((kl, kr, 1, left), (kr, kl, 2, right)):
+                if m.out[t] >> h & 1:
+                    upper = _closure(m.inn, 1 << h, side)
+                    lower = _closure(m.out, 1 << t, m.full ^ side)
+                    if rows.all_simple(upper, lower, h, t):
+                        return kl, kr, condition, upper | lower
     return None
-
-
-def _dual_cut_witness(
-    m: BitMasks, cut: Cut, kl: int, kr: int, condition: int, upper: int, lower: int
-) -> DualCutWitness:
-    # checked lists (left vertex, right vertex) pairs ordered by left vertex;
-    # the left side's neighborhood is upper under condition 1, lower under 2.
-    xs, ys = (upper, lower) if condition == 1 else (lower, upper)
-    ids = m.ids
-    checked = tuple(
-        (ids[x], ids[y]) for x in _bits(xs) for y in _bits(ys) if (x, y) != (kl, kr)
-    )
-    return DualCutWitness(cut, ids[kl], ids[kr], condition, checked)
 
 
 def dual_neighborhood_certificate(
@@ -271,15 +250,24 @@ def dual_neighborhood_certificate(
     """Try to certify primality by exhibiting, for every cut, a base pair
     joined by an arrow whose punctured neighborhood products are all
     simple against the appropriate duals.  Returns None as soon as one
-    cut admits no witness."""
+    cut admits no witness.  A witness checks (left, right) pairs of the
+    tested vertices, ordered by left vertex, bar the base pair."""
     m = g.masks
     rows = _DualRows(g)
+    ids = m.ids
     witnesses = []
     for left in m.lefts(max_cut_vertices):
         base = _dual_base(m, rows, left)
         if base is None:
             return None
-        witnesses.append(_dual_cut_witness(m, m.cut(left), *base))
+        kl, kr, condition, tested = base
+        checked = tuple(
+            (ids[x], ids[y])
+            for x in _bits(tested & left)
+            for y in _bits(tested & ~left)
+            if (x, y) != (kl, kr)
+        )
+        witnesses.append(DualCutWitness(m.cut(left), ids[kl], ids[kr], condition, checked))
     return DualCertificate(tuple(witnesses))
 
 

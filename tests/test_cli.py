@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -374,8 +375,42 @@ def test_closed_stdout_exits_74_without_traceback():
 
 
 def test_rset_interval_is_not_materialized():
-    code, _ = invoke("rset", "1", "1", "1", "1", "--rank", "3", "--interval", "1", str(10**12))
-    assert code == 65
+    # Run apart under a 1 GiB address-space cap and a timeout, so an
+    # interval built as a set of 10^12 nodes fails here instead of growing
+    # until the machine runs out of memory.
+    src = Path(__file__).resolve().parent.parent / "src"
+
+    def cap() -> None:
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "qfactgraph.cli", "rset", "1", "1", "1", "1", "--rank", "3",
+         "--interval", "1", str(10**12)],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        preexec_fn=cap,
+        timeout=60,
+    )
+    assert proc.returncode == 65, proc.stderr.decode()[-500:]
+
+
+def test_qfact_violation_message_is_bounded():
+    # Two same-color strings of length 10^6, two apart: their reducibility
+    # set has 10^6 members and listing them printed 8.4 MB.  The message
+    # names the set by its ends, so its length does not grow with L.
+    run(["check", "--rank", "1", "1:0:1 1:2:1"], stdout=_Discard())  # warm imports
+    out = StringIO()
+    tracemalloc.start()
+    try:
+        code = run(["check", "--rank", "1", f"1:0:{10**6} 1:2:{10**6}"], stdout=out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    text = out.getvalue()
+    assert code == 1 and len(text) < 1024 and peak < 1024 * 1024
+    (failure,) = json.loads(text)["failures"]
+    assert failure["kind"] == "qfact-violation"
+    assert "from 2 to 2000000 in steps of 2" in failure["message"]
 
 
 @st.composite

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import random
+from collections import Counter
+
 import pytest
 
 from qfactgraph import (
@@ -206,3 +209,40 @@ def test_snake_validation():
 
     with pytest.raises(InvalidNode):
         Snake(A5, ((7, 0),))
+
+
+def random_snakes(count: int, rng: random.Random):
+    """Snakes over A_1-A_7 with 2-10 points.  Each gap is the distance of
+    its colors plus 2k, k mostly 1 (prime position) and up to 4; one gap
+    in twenty is odd, so some sequences are not snakes and are dropped."""
+    for _ in range(count):
+        d = DynkinA(rng.randint(1, 7))
+        color, center = rng.randint(1, d.n), 0
+        points = [(color, center)]
+        for _ in range(rng.randint(1, 9)):
+            nxt = rng.randint(1, d.n)
+            center += d.distance(color, nxt) + 2 * rng.choice((0, 1, 1, 1, 2, 3, 4))
+            center += rng.random() < 0.05
+            color = nxt
+            points.append((color, center))
+        snake = Snake(d, tuple(points))
+        if is_snake(snake):
+            yield snake
+
+
+def test_snake_verdicts_agree_with_mukhin_young():
+    # Mukhin and Young (Adv. Math. 2012; Selecta Math. 2012): in type A a
+    # snake module is prime iff its snake is prime.  So a non-prime snake
+    # never gets Prime and a prime snake never gets NotPrime.
+    kinds, certificates = Counter(), set()
+    for snake in random_snakes(2000, random.Random(7)):
+        prime = is_prime_snake(snake)
+        verdict = classify(build_graph(q_factorize(snake_to_poly(snake))))
+        assert verdict.outcome != ("NotPrime" if prime else "Prime"), snake
+        kinds[prime] += 1
+        if verdict.outcome == "Prime":
+            certificates.add(verdict.certificate)
+    # Guards the check against vacuity: both kinds of snake, and at least
+    # three Prime certificates.
+    assert kinds[True] >= 100 and kinds[False] >= 100
+    assert len(certificates) >= 3
