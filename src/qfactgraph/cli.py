@@ -88,19 +88,26 @@ def _write_last_key(out: IO[str], obj: dict, key: str, write_value: Callable[[],
     out.write("}")
 
 
-def _join_ids(text: str, name: str) -> str:
-    return f"{text}, {name}" if text else name
+def _id_texts(names: Sequence[str]) -> list[str]:
+    """The comma-joined names of the bits of every mask over names, indexed
+    by mask.  Each name doubles the table."""
+    table = [""]
+    for name in names:
+        table += [f"{text}, {name}" if text else name for text in table]
+    return table
 
 
 def _write_report(report: _CutReport, out: IO[str]) -> None:
     """Write the JSON list of the report's entries, each one
     {"left": [...], "right": [...], "status": ..., "witness": ...}, from its
-    rows: the id lists come from half-mask tables of joined id strings, and
-    no Cut or CutClass is built."""
+    rows, and build no Cut or CutClass.  The id lists come from two tables
+    of id texts, one for the masks of the bits below half = n // 2 and one
+    for those from half up: 2^half + 2^(n - half) entries, not 2^n."""
     m = report.graph.masks
     names = [str(v) for v in m.ids]
-    lo_text, hi_text = m.half_tables(names, _join_ids, "")
-    low, half, full = m.low, m.half, m.full
+    half, full = len(names) // 2, m.full
+    low = (1 << half) - 1
+    lo_text, hi_text = _id_texts(names[:half]), _id_texts(names[half:])
 
     def members(mask: int) -> str:
         a, b = lo_text[mask & low], hi_text[mask >> half]
@@ -192,15 +199,11 @@ def _cmd_rset(args, inp: IO[str], out: IO[str]) -> int:
         rs = rset_restricted(d, args.i, args.j, args.r, args.s, range(lo, hi + 1))
     else:
         rs = rset(d, args.i, args.j, args.r, args.s)
-    _write_int_list(rs.members, out)
-    return 0
-
-
-def _write_int_list(values: range, out: IO[str]) -> None:
-    """Print json.dumps(list(values)) in chunks straight from the range,
-    so memory stays constant however many values there are."""
-    _write_list(out, str, values)
+    # Chunks straight from the range: memory stays constant however many
+    # members there are.
+    _write_list(out, str, rs.members)
     out.write("\n")
+    return 0
 
 
 def build_parser() -> _Parser:

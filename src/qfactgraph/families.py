@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from .dynkin import DynkinA
 from .errors import RankTooSmall, ShapeInvalid
-from .lweight import DrinfeldPoly, KRFactor
+from .lweight import DrinfeldPoly, KRFactor, check_ints
 from .redsets import rset
 
 __all__ = [
@@ -48,10 +48,11 @@ class Snake:
     points: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        pts = tuple((int(i), int(m)) for i, m in self.points)
+        pts = tuple((i, m) for i, m in self.points)
         if not pts:
             raise ValueError("a snake needs at least one point")
-        for i, _ in pts:
+        for i, m in pts:
+            check_ints("snake colors and centers", i, m)
             self.rank.check_node(i)
         object.__setattr__(self, "points", pts)
 
@@ -88,8 +89,8 @@ class SkewShape:
     mu: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        lam = tuple(int(x) for x in self.lam)
-        mu = tuple(int(x) for x in self.mu)
+        lam, mu = tuple(self.lam), tuple(self.mu)
+        check_ints("lambda and mu parts", *lam, *mu)
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "mu", mu)
         n, m = self.rank.n, len(mu)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from operator import attrgetter
 from types import MappingProxyType
-from typing import Callable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .dynkin import DynkinA, reducible
 from .errors import (
@@ -62,7 +62,6 @@ __all__ = [
 
 
 Vertex = KRFactor  # the graph-side name; a vertex's weight is its length
-T = TypeVar("T")
 _CUT_CAP = 20  # the most vertices whose 2^(n-1) - 1 cuts are walked by default
 
 
@@ -152,8 +151,7 @@ class BitMasks:
 
     ``out[k]`` is the mask of the heads of the arrows leaving ``ids[k]``,
     ``inn[k]`` that of the tails of the arrows entering it and ``nbr[k]``
-    their union.  The half tables split the bits at ``half = n // 2``;
-    ``low`` masks the lower half.
+    their union.
     """
 
     def __init__(self, g: FactGraph) -> None:
@@ -168,8 +166,6 @@ class BitMasks:
         self.inn = tuple(inn)
         self.nbr = tuple(o | i for o, i in zip(out, inn))
         self.full = (1 << len(ids)) - 1
-        self.half = len(ids) // 2
-        self.low = (1 << self.half) - 1
         self._arrows = g.arrows
 
     @cached_property
@@ -177,21 +173,6 @@ class BitMasks:
         """Every arrow of g.arrows, in order, with its tail and head bits;
         built on first use, since only the cut stage reads it."""
         return tuple((a, self.index[a.tail], self.index[a.head]) for a in self._arrows)
-
-    def half_tables(
-        self, values: Sequence[T], join: Callable[[T, T], T], empty: T
-    ) -> tuple[list[T], list[T]]:
-        """The fold by join, from empty, of values[k] over the bits k of
-        every mask of the bits below ``half`` and of every mask of the bits
-        from ``half`` up, ascending.  Each bit doubles its table, so the two
-        tables hold 2^half + 2^(n - half) entries, not 2^n."""
-        tables = []
-        for part in (values[: self.half], values[self.half :]):
-            table = [empty]
-            for value in part:
-                table += [join(t, value) for t in table]
-            tables.append(table)
-        return tables[0], tables[1]
 
     def members(self, mask: int) -> tuple[int, ...]:
         """The vertex ids of the bits of mask, ascending."""

@@ -36,6 +36,14 @@ __all__ = [
 ]
 
 
+def check_ints(what: str, *values: int) -> None:
+    """Refuse the first of values that is not an int (nor a bool), the
+    rule KRFactor applies to its color, center and coset."""
+    for v in values:
+        if type(v) is not int:
+            raise TypeError(f"{what} must be ints, got {v!r}")
+
+
 def check_length(*lengths: int) -> None:
     """Refuse the first of lengths that is not an int >= 1 (nor a bool)."""
     for v in lengths:

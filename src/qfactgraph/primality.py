@@ -35,7 +35,7 @@ from .fgraph import (
     is_totally_ordered,
     validate,
 )
-from .lweight import DrinfeldPoly
+from .lweight import DrinfeldPoly, check_ints
 from .redsets import kr_dual_pair_simple, rset, rset_restricted
 
 __all__ = [
@@ -368,8 +368,14 @@ def classify(g: FactGraph, max_cut_vertices: int = _CUT_CAP) -> Verdict:
 
 
 def _check_chain(
-    d: DynkinA, chain: tuple[tuple[int, int, int], ...], increasing: bool
-) -> None:
+    d: DynkinA, chain: list[tuple[int, int, int]], increasing: bool
+) -> tuple[tuple[int, int, int], ...]:
+    """The chain's (center, length, color) entries as a tuple, once every
+    entry holds three ints and every consecutive gap lies in its pair's
+    reducibility set (and, if increasing, is positive)."""
+    chain = tuple((m, r, i) for m, r, i in chain)
+    for entry in chain:
+        check_ints("chain centers, lengths and colors", *entry)
     for (m0, r0, i0), (m1, r1, i1) in zip(chain, chain[1:]):
         if increasing and m1 <= m0:
             raise ChainConditionViolated(
@@ -380,6 +386,7 @@ def _check_chain(
                 f"|{m1} - {m0}| is outside the reducibility set of the "
                 f"consecutive pair ({i0}, {r0}), ({i1}, {r1})"
             )
+    return chain
 
 
 def chain_p_matrix(
@@ -388,8 +395,7 @@ def chain_p_matrix(
     """Overlap parameters p_{l,k} = (r_l + r_k + d(i_l,i_k) - (m_l - m_k)) / 2
     for 1 <= k < l <= N, from a chain of (center, length, color) entries
     whose consecutive gaps lie in the reducibility sets."""
-    entries = tuple((int(m), int(r), int(i)) for m, r, i in chain)
-    _check_chain(d, entries, increasing=False)
+    entries = _check_chain(d, chain, increasing=False)
     out: dict[tuple[int, int], int] = {}
     for k in range(1, len(entries) + 1):
         mk, rk, ik = entries[k - 1]
@@ -432,8 +438,7 @@ def chain_arrow_closure(d: DynkinA, chain: list[tuple[int, int, int]]) -> ChainR
     parameter is within one of its interval bound must be linked, and if
     the extreme pair is linked within its interval then every pair is.
     """
-    entries = tuple((int(m), int(r), int(i)) for m, r, i in chain)
-    _check_chain(d, entries, increasing=True)
+    entries = _check_chain(d, chain, increasing=True)
     pmat = chain_p_matrix(d, list(entries))
     n = len(entries)
     pairs: list[ChainPair] = []

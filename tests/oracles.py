@@ -1,53 +1,54 @@
-"""Reference implementations kept as test oracles.
+"""Reference implementations kept as test oracles: one per library function.
 
-These are the closed forms and pair loops the library used before the
-reducibility kernel (``dynkin.reducibility_bounds``) and the shared
-construction loop replaced them, copied unchanged.  They recompute every
-reducibility set through ``DynkinA.distance`` and ``boundary_distance``,
-so they share no arithmetic with the kernel they check.  Their length
-check ``_check_lengths`` is the one ``redsets`` kept before the rule moved
-to ``lweight.check_length``, copied unchanged (it accepts a bool).
+Each reference is an earlier, simpler version of the function it checks,
+copied unchanged unless noted.  The module imports neither the
+reducibility kernel ``dynkin.reducible`` nor ``BitMasks``.  Two references
+still call library code that reaches the kernel: ``q_factorize`` checks
+its result with ``is_q_factorization``, and the dual certificate tests its
+pairs with ``kr_dual_pair_simple``.
 
-The cut stage below (``cuts`` through ``classify``) is the set-based
-version the bitmask cut engine replaced, also copied unchanged: every
-cut builds both sides as subgraphs and walks them.
-
-``q_factorize`` and ``_longest_run`` are the root-expanding run peeling
-the endpoint sweep replaced, copied unchanged: every root of every string
-goes into a multiset, and the longest step-2 run is peeled off repeatedly.
-
-``interacting_pairs``, ``_forced_arrows`` and ``is_totally_ordered`` are
-the pair loops and the order check the center-window scan and the
-topological sort replaced, copied unchanged: every same-bucket pair, or
-every ordered pair, is tested, and the order check builds the whole
-partial order by DFS and compares every pair of vertices.
-
-``descendants`` through ``transitive_reduction`` are the order structure
-the int masks of ``BitMasks`` replaced, copied unchanged but for one
-thing: they read the three dict adjacencies ``FactGraph`` used to cache
-(``_out_adj``, ``_in_adj``, ``_undirected_adj``, built here from the
-arrows), so they share nothing with the masks they check.
-
-``unions`` through ``_report_row`` are the per-cut extremal-pair test
-the bit-sliced report rows replaced, copied unchanged but for one
-thing: the half tables of mask unions (``BitMasks.unions``) and the
-mask of sources and sinks (``BitMasks.extremal``) are functions here
-instead of cached fields of the masks (the tables are cached for the
-last masks object).  They read the union of the out-
-and in-masks over a side from two half-table lookups, one cut at a time.
-
-``_verdict_to_json`` is the CLI's verdict encoder before the report was
-streamed from its rows, copied unchanged: every report entry is a dict
-with two freshly sorted id lists, read from the entry's ``Cut``, and the
-CLI printed ``json.dumps`` of the whole dict at once.
+- The kernel, ``rset``, ``rset_restricted``, ``rset_same_node`` and
+  ``kr_pair_relation``: the closed forms ``rset`` through
+  ``kr_pair_relation``.  They recompute every reducibility set through
+  ``DynkinA.distance`` and ``boundary_distance``.  Their length check
+  ``_check_lengths`` is the one ``redsets`` kept before the rule moved to
+  ``lweight.check_length`` (it accepts a bool).
+- ``build_graph`` and the center-window arrow scan
+  ``fgraph._forced_arrows``: ``_graph_from_factors``, which tests every
+  ordered pair of factors with ``kr_pair_relation`` and takes the
+  factors' positions as ids.
+- ``lweight.interacting_pairs`` and ``is_q_factorization``:
+  ``_strings_interact``, the closed form of the single-node set, taken over
+  every same-color, same-coset pair.
+- ``validate``: ``validate``, the pair loops over ``rset`` that construction
+  reuse replaced.
+- The cut stage, ``cuts`` through ``classify``: the set-based version the
+  bitmask cut engine replaced.  Every cut builds both sides as subgraphs
+  and walks them.  Its ``cut_reducible_extremal``, one cut at a time, is
+  also the reference for the bit-sliced report rows.
+- ``q_factorize``: ``q_factorize`` and ``_longest_run``, the
+  root-expanding run peeling the endpoint sweep replaced.  Every root of
+  every string goes into a multiset, and the longest step-2 run is peeled
+  off repeatedly.
+- ``is_totally_ordered``: ``is_totally_ordered``, which builds the whole
+  partial order by DFS and compares every pair of vertices, where the
+  library runs a topological sort.
+- The order structure, ``descendants`` through ``transitive_reduction``:
+  the versions the int masks of ``BitMasks`` replaced, copied unchanged
+  but for one thing.  They read the three dict adjacencies ``FactGraph``
+  used to cache (``_out_adj``, ``_in_adj``, ``_undirected_adj``, built
+  here from the arrows).
+- The CLI's verdict writer ``cli._write_verdict``: ``_verdict_to_json``,
+  the encoder from before the report was streamed from its rows.  Every
+  report entry is a dict with two freshly sorted id lists, read from the
+  entry's ``Cut``, and the CLI printed ``json.dumps`` of the whole dict at
+  once.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from functools import lru_cache
-from operator import or_
-from typing import Iterator, Iterable, Mapping, Sequence
+from typing import Iterator, Iterable, Mapping
 
 from qfactgraph import (
     Arrow,
@@ -77,9 +78,8 @@ from qfactgraph import (
     subgraph,
     to_polynomial,
 )
-from qfactgraph.dynkin import reducible
 from qfactgraph.primality import CutWitness, DualCutWitness
-from qfactgraph.fgraph import _LEVELS, BitMasks, ValidationFailure, ValidationReport
+from qfactgraph.fgraph import _LEVELS, ValidationFailure, ValidationReport
 from qfactgraph.redsets import SIMPLE
 
 
@@ -508,46 +508,6 @@ def q_factorize(p: DrinfeldPoly) -> DrinfeldPoly:
     return result
 
 
-def interacting_pairs(factors: Sequence[KRFactor]) -> Iterator[tuple[int, int]]:
-    """Index pairs k < l of same-color, same-coset factors whose strings
-    interact: their center gap lies in the single-node reducibility set
-    {r + s - 2p : 0 <= p < min(r, s)}, i.e. the strings overlap without
-    nesting or abut with a gap of one step.  Pairs come in lexicographic
-    order."""
-    # Each bucket holds its indices in descending order, so k is the last
-    # entry of its bucket when it is reached and the rest come after it.
-    buckets: dict[tuple[int, int], list[int]] = {}
-    for k in range(len(factors) - 1, -1, -1):
-        buckets.setdefault((factors[k].color, factors[k].coset), []).append(k)
-    for k, a in enumerate(factors):
-        rest = buckets[a.color, a.coset]
-        rest.pop()
-        i = a.color
-        for l in reversed(rest):
-            b = factors[l]
-            if reducible(abs(a.center - b.center), i, i, a.length, b.length, i, i):
-                yield k, l
-
-
-def _forced_arrows(rank: DynkinA, items: Sequence[tuple[int, KRFactor]]) -> list[Arrow]:
-    """The arrow of every ordered pair of (id, factor) items, in id order,
-    whose tensor product is reducible and highest-weight-ordered: same
-    coset, positive center gap, gap in the pair's reducibility set.
-    Colors must already lie in the diagram."""
-    n = rank.n
-    arrows = []
-    for a, fa in items:
-        for b, fb in items:
-            delta = fa.center - fb.center
-            if (
-                delta > 0
-                and fa.coset == fb.coset
-                and reducible(delta, fa.color, fb.color, fa.length, fb.length, 1, n)
-            ):
-                arrows.append(Arrow(a, b, delta))
-    return arrows
-
-
 def is_totally_ordered(g: FactGraph) -> bool:
     """True iff every pair of vertices is comparable; disconnected graphs
     are never totally ordered."""
@@ -742,50 +702,3 @@ def _verdict_to_json(v: Verdict) -> dict:
             for c in v.report
         ]
     return out
-
-
-@lru_cache(maxsize=1)
-def unions(m: BitMasks) -> tuple[list[int], list[int], list[int], list[int]]:
-    """Half tables (out_lo, out_hi, inn_lo, inn_hi) of mask unions: the
-    union of out[j] over the bits j of a mask S is
-    ``out_lo[S & low] | out_hi[S >> half]``, and that of inn[j] likewise."""
-    return (*m.half_tables(m.out, or_, 0), *m.half_tables(m.inn, or_, 0))
-
-
-def extremal(m: BitMasks) -> int:
-    """The mask of the sources and sinks."""
-    return sum(1 << k for k, (o, i) in enumerate(zip(m.out, m.inn)) if not o or not i)
-
-
-def _extremal_pair(m: BitMasks, left: int) -> tuple[int, int] | None:
-    """The bits (kl, kr) of cut_reducible_extremal's witness on the cut
-    whose left side is the mask left: the lowest passing kl with a passing
-    neighbour on the right, and the lowest such neighbour kr.
-
-    A vertex passes in its side if it is extremal there (no in-neighbour
-    or no out-neighbour in the side), and isolated there if it is extremal
-    in the whole graph.  It has an in-neighbour in the side iff it lies in
-    heads, the union of out over the side, and an out-neighbour iff it lies
-    in tails, the union of inn; both come from the half tables."""
-    out_lo, out_hi, inn_lo, inn_hi = unions(m)
-    inner = m.full ^ extremal(m)
-    passing = []
-    for side in (left, m.full ^ left):
-        lo, hi = side & m.low, side >> m.half
-        heads = out_lo[lo] | out_hi[hi]
-        tails = inn_lo[lo] | inn_hi[hi]
-        passing.append(side & (~(heads | tails) | inner & ~(heads & tails)))
-    candidates, right = passing
-    while candidates:
-        low = candidates & -candidates
-        kl = low.bit_length() - 1
-        hit = m.nbr[kl] & right
-        if hit:
-            return kl, (hit & -hit).bit_length() - 1
-        candidates ^= low
-    return None
-
-
-def _report_row(m: BitMasks, left: int) -> int:
-    pair = _extremal_pair(m, left)
-    return -1 if pair is None else pair[0] * len(m.ids) + pair[1]

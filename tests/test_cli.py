@@ -28,7 +28,7 @@ from qfactgraph import (
     rset,
     rset_restricted,
 )
-from qfactgraph.cli import _dumps, _write_family, _write_int_list, run
+from qfactgraph.cli import _dumps, _write_family, _write_list, run
 
 from conftest import UNKNOWN, unknown_verdict
 
@@ -280,8 +280,8 @@ def test_rset_output_is_json_dumps_of_the_members():
     assert code == 0 and text == json.dumps(list(expected)) + "\n"
     for values in (range(0), range(5, 3, 2), range(7, 8), range(-3, 2050, 2)):
         out = StringIO()
-        _write_int_list(values, out)
-        assert out.getvalue() == json.dumps(list(values)) + "\n"
+        _write_list(out, str, values)
+        assert out.getvalue() == json.dumps(list(values))
 
 
 class _Discard:

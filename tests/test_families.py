@@ -13,6 +13,8 @@ from qfactgraph import (
     SkewShape,
     Snake,
     build_graph,
+    chain_arrow_closure,
+    chain_p_matrix,
     classify,
     connected_components,
     is_prime_snake,
@@ -209,6 +211,30 @@ def test_snake_validation():
 
     with pytest.raises(InvalidNode):
         Snake(A5, ((7, 0),))
+
+
+def test_non_int_fields_are_refused():
+    # KRFactor's rule: an exact int, never a bool.  int() coercion read the
+    # first snake as ((1, 0), (1, 4)), the shape as (2, 1), and the chain
+    # as (0, 1, 1), whose p-matrix {(2, 1): 0} came back silently.
+    with pytest.raises(TypeError):
+        Snake(A5, ((1.7, 0.9), (True, 4)))
+    with pytest.raises(TypeError):
+        Snake(A5, ((1, 0), (2, 4.0)))
+    with pytest.raises(TypeError):
+        SkewShape(DynkinA(1), (2.9, 1.2))
+    with pytest.raises(TypeError):
+        SkewShape(A2, (9, 6, 4, 1), (False,))
+    for chain in ([(0.5, 1.9, 1), (3, 1, 2)], [(0, True, 2), (3, 1, 3)]):
+        with pytest.raises(TypeError):
+            chain_p_matrix(A5, chain)
+        with pytest.raises(TypeError):
+            chain_arrow_closure(A5, chain)
+    # Lists of pairs and of triples are still read as tuples.
+    assert Snake(A5, [[4, -2], [3, 1]]).points == ((4, -2), (3, 1))
+    assert SkewShape(DynkinA(1), [2, 1]).lam == (2, 1)
+    assert chain_p_matrix(A5, [[0, 1, 2], [3, 1, 3]]) == {(2, 1): 0}
+    assert chain_arrow_closure(A5, [[0, 1, 2], [3, 1, 3]]).ok
 
 
 def random_snakes(count: int, rng: random.Random):

@@ -1,8 +1,6 @@
 from __future__ import annotations
 
 import itertools
-from functools import reduce
-from operator import or_
 
 import pytest
 
@@ -46,7 +44,6 @@ from qfactgraph import (
     validate,
 )
 
-import oracles
 from conftest import A2, A3, A5, arrow_data
 
 
@@ -434,21 +431,3 @@ def test_cut_only_mask_fields_are_built_on_first_use(two_source_graph):
     assert {"arrow_bits"} <= set(vars(two_source_graph.masks))
     list(cuts(two_source_graph))
     assert set(CUT_ONLY) <= set(vars(two_source_graph.masks))
-
-
-def test_half_tables_fold_every_mask():
-    # The two tables split at n // 2 and fold the values of each mask's
-    # bits in ascending order.
-    g = build_graph(parse_poly("2:0:2 1:3:2 1:4:1 1:9:1 2:12:1", A2))
-    m = g.masks
-    names = [f"v{k}" for k in range(len(m.ids))]
-    lo, hi = m.half_tables(names, lambda t, s: t + s, "")
-    assert (m.half, len(lo), len(hi)) == (2, 4, 8)
-    for mask in range(m.full + 1):
-        expected = "".join(names[k] for k in range(len(names)) if mask >> k & 1)
-        assert lo[mask & m.low] + hi[mask >> m.half] == expected
-    out_lo, out_hi, inn_lo, inn_hi = oracles.unions(m)
-    for mask in range(m.full + 1):
-        bits = [k for k in range(len(names)) if mask >> k & 1]
-        assert out_lo[mask & m.low] | out_hi[mask >> m.half] == reduce(or_, (m.out[k] for k in bits), 0)
-        assert inn_lo[mask & m.low] | inn_hi[mask >> m.half] == reduce(or_, (m.inn[k] for k in bits), 0)

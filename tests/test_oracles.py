@@ -13,6 +13,7 @@ from array import array
 from collections import Counter
 from dataclasses import replace
 from io import StringIO
+from typing import Sequence
 
 import hypothesis.strategies as st
 import pytest
@@ -266,8 +267,9 @@ def assert_order_matches_oracle(g: FactGraph) -> None:
 
 
 def oracle_rows(g: FactGraph) -> array:
-    """The report rows of every cut of g by the per-cut half-table test."""
-    return array("h", (oracles._report_row(g.masks, left) for left in g.masks.lefts(20)))
+    """The report rows of every cut of g, each naming the witness of the
+    subgraph-era extremal test on that cut."""
+    return array("h", (row_of(g, oracles.cut_reducible_extremal(g, cut)) for cut in oracles.cuts(g)))
 
 
 def row_of(g: FactGraph, witness) -> int:
@@ -312,17 +314,14 @@ def check_cut_engine(g: FactGraph) -> None:
     else:
         old_classes = [oracles.classify_cut(g, cut) for cut in old_cuts]
     # The sliced rows, and the witness of every single cut, are also the
-    # per-cut half-table test's.
-    old_rows = oracle_rows(g)
-    assert primality._report_rows(g) == old_rows
-    for cut, old, row in zip(old_cuts, old_classes, old_rows, strict=True):
+    # subgraph-era extremal test's, which the oracle's classify_cut runs on
+    # every crossing cut: oracle_rows(g), without running it twice.
+    assert primality._report_rows(g) == array("h", (row_of(g, old.witness) for old in old_classes))
+    for cut, old in zip(old_cuts, old_classes, strict=True):
         assert classify_cut(g, cut) == old
-        # No arrow crosses an arrowless cut, so it has no extremal witness.
-        assert cut.crossing or cut_reducible_extremal(g, cut) is None
-        # On a crossing cut, classify_cut's witness is cut_reducible_extremal's.
-        old_witness = old.witness if cut.crossing else oracles.cut_reducible_extremal(g, cut)
-        witness = cut_reducible_extremal(g, cut)
-        assert witness == old_witness and row_of(g, witness) == row
+        # No arrow crosses an arrowless cut, so it has no extremal witness;
+        # on a crossing cut, classify_cut's witness is cut_reducible_extremal's.
+        assert cut_reducible_extremal(g, cut) == old.witness
     assert dual_neighborhood_certificate(g) == oracles.dual_neighborhood_certificate(g)
 
 
@@ -517,6 +516,17 @@ def window_soup(rng: random.Random) -> tuple[DynkinA, tuple[KRFactor, ...]]:
     return d, tuple(factors)
 
 
+def all_interacting_pairs(factors: Sequence[KRFactor]) -> list[tuple[int, int]]:
+    """Every index pair k < l of same-color, same-coset factors whose
+    strings interact by the closed form, in lexicographic order."""
+    return [
+        (k, l)
+        for k, a in enumerate(factors)
+        for l, b in enumerate(factors[k + 1 :], k + 1)
+        if (a.color, a.coset) == (b.color, b.coset) and oracles._strings_interact(a, b)
+    ]
+
+
 def grown_size(rng: random.Random) -> int:
     # Grown graphs past four vertices are seldom totally ordered.
     return rng.choice((3, 4, rng.randint(5, 40)))
@@ -528,9 +538,10 @@ def test_window_scans_match_oracle(seed):
     rng = random.Random(seed)
     d, factors = window_soup(rng)
     # Unsorted factors keep positions out of center order.
+    # The oracle graph's ids are the factors' positions, as the items' are.
     items = list(enumerate(factors))
-    assert _forced_arrows(d, items) == oracles._forced_arrows(d, items)
-    assert interacting_pairs(factors) == list(oracles.interacting_pairs(factors))
+    assert tuple(_forced_arrows(d, items)) == oracles._graph_from_factors(d, factors).arrows
+    assert interacting_pairs(factors) == all_interacting_pairs(factors)
     poly = DrinfeldPoly(d, factors)
     g = build_graph(poly)
     assert g == oracles._graph_from_factors(d, poly.factors)
@@ -560,12 +571,12 @@ def test_window_soup_reaches_the_window_edges():
     for _ in range(100):
         d, factors = window_soup(rng)
         n, top = d.n, max(f.length for f in factors)
-        for a in oracles._forced_arrows(d, list(enumerate(factors))):
+        for a in oracles._graph_from_factors(d, factors).arrows:
             fa, fb = factors[a.tail], factors[a.head]
             if a.exp == fa.length + fb.length + n - 1:
                 seen["bound"] += 1
                 seen["window edge"] += fb.length == top
-        for k, l in oracles.interacting_pairs(factors):
+        for k, l in all_interacting_pairs(factors):
             seen["abut"] += abs(factors[k].center - factors[l].center) == (
                 factors[k].length + factors[l].length
             )
