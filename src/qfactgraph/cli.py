@@ -273,12 +273,13 @@ def build_parser() -> _Parser:
 
 def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
     text = text.strip()
-    if not text:
-        return ()
-    try:
-        return tuple(int(tok) for tok in text.split(","))
-    except ValueError:
-        raise PolySyntaxError(f"bad {what} list {text!r}", 0) from None
+    values = []
+    for k, tok in enumerate(text.split(",") if text else ()):
+        try:
+            values.append(int(tok))
+        except ValueError:
+            raise PolySyntaxError(f"bad {what} list {text!r}", k) from None
+    return tuple(values)
 
 
 def _parse_points(text: str) -> tuple[tuple[int, int], ...]:

@@ -11,6 +11,8 @@ from typing import Iterable
 
 from .errors import InvalidInterval, InvalidNode
 
+__all__ = ["DynkinA"]
+
 
 @dataclass(frozen=True, order=True)
 class DynkinA:

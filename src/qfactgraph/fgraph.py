@@ -23,10 +23,9 @@ from .errors import (
     TooManyVertices,
 )
 from .lweight import DrinfeldPoly, KRFactor, interacting_pairs, q_factorize, window_pairs
-from .redsets import rset_same_node
+from .redsets import rset_restricted
 
 __all__ = [
-    "Vertex",
     "Arrow",
     "FactGraph",
     "Cut",
@@ -48,7 +47,6 @@ __all__ = [
     "is_tree",
     "is_line",
     "is_monotonic_line",
-    "neighborhoods",
     "cuts",
     "arrow_dual",
     "color_dual",
@@ -61,7 +59,6 @@ __all__ = [
 ]
 
 
-Vertex = KRFactor  # the graph-side name; a vertex's weight is its length
 _CUT_CAP = 20  # the most vertices whose 2^(n-1) - 1 cuts are walked by default
 
 
@@ -342,14 +339,15 @@ def validate(g: FactGraph, level: str = "qfact") -> ValidationReport:
     for k, l in interacting_pairs([g.vertices[v] for v in ids]):
         u, w = ids[k], ids[l]
         vu, vw = g.vertices[u], g.vertices[w]
-        rs = rset_same_node(g.rank, vu.color, vu.length, vw.length)
+        c = vu.color
+        rs = rset_restricted(g.rank, c, c, vu.length, vw.length, [c])
         fails.append(
             ValidationFailure(
                 "qfact-violation",
                 (u, w),
                 f"|{vu.center - vw.center}| = {abs(vu.center - vw.center)} lies in the "
                 f"same-color reducibility set from {rs.lo} to {rs.hi} in steps of 2 "
-                f"for color {vu.color}",
+                f"for color {c}",
             )
         )
     return ValidationReport(level, tuple(fails))
@@ -482,16 +480,6 @@ def is_monotonic_line(g: FactGraph) -> bool:
     return is_line(g) and all(
         o.bit_count() <= 1 and i.bit_count() <= 1 for o, i in zip(m.out, m.inn)
     )
-
-
-def neighborhoods(g: FactGraph, v: int, sign: int) -> frozenset[int]:
-    """Strict monotonic-path neighborhoods: +1 gives the vertices above v,
-    -1 the vertices below; v itself is excluded."""
-    if sign == 1:
-        return ancestors(g, v)
-    if sign == -1:
-        return descendants(g, v)
-    raise ValueError(f"sign must be +1 or -1, got {sign!r}")
 
 
 def cuts(g: FactGraph, max_vertices: int = _CUT_CAP) -> Iterator[Cut]:

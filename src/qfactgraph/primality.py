@@ -389,13 +389,10 @@ def _check_chain(
     return chain
 
 
-def chain_p_matrix(
-    d: DynkinA, chain: list[tuple[int, int, int]]
+def _p_matrix(
+    d: DynkinA, entries: tuple[tuple[int, int, int], ...]
 ) -> dict[tuple[int, int], int]:
-    """Overlap parameters p_{l,k} = (r_l + r_k + d(i_l,i_k) - (m_l - m_k)) / 2
-    for 1 <= k < l <= N, from a chain of (center, length, color) entries
-    whose consecutive gaps lie in the reducibility sets."""
-    entries = _check_chain(d, chain, increasing=False)
+    """chain_p_matrix of entries that _check_chain has passed."""
     out: dict[tuple[int, int], int] = {}
     for k in range(1, len(entries) + 1):
         mk, rk, ik = entries[k - 1]
@@ -408,6 +405,15 @@ def chain_p_matrix(
                 )
             out[(l, k)] = num // 2
     return out
+
+
+def chain_p_matrix(
+    d: DynkinA, chain: list[tuple[int, int, int]]
+) -> dict[tuple[int, int], int]:
+    """Overlap parameters p_{l,k} = (r_l + r_k + d(i_l,i_k) - (m_l - m_k)) / 2
+    for 1 <= k < l <= N, from a chain of (center, length, color) entries
+    whose consecutive gaps lie in the reducibility sets."""
+    return _p_matrix(d, _check_chain(d, chain, increasing=False))
 
 
 class ChainPair(NamedTuple):
@@ -439,9 +445,10 @@ def chain_arrow_closure(d: DynkinA, chain: list[tuple[int, int, int]]) -> ChainR
     the extreme pair is linked within its interval then every pair is.
     """
     entries = _check_chain(d, chain, increasing=True)
-    pmat = chain_p_matrix(d, list(entries))
+    pmat = _p_matrix(d, entries)
     n = len(entries)
     pairs: list[ChainPair] = []
+    spans: list[frozenset[int]] = []
     violations: list[str] = []
     for k in range(1, n + 1):
         mk, rk, ik = entries[k - 1]
@@ -452,12 +459,12 @@ def chain_arrow_closure(d: DynkinA, chain: list[tuple[int, int, int]]) -> ChainR
             span = d.interval(ik, il)
             in_interval = delta in rset_restricted(d, ik, il, rk, rl, span)
             pairs.append(ChainPair(k, l, delta, pmat[(l, k)], in_full, in_interval))
+            spans.append(span)
     if n >= 2:
         p_extreme = pmat[(n, 1)]
-        for pair in pairs:
+        for pair, span in zip(pairs, spans):
             if (pair.k, pair.l) == (1, n):
                 continue
-            span = d.interval(entries[pair.k - 1][2], entries[pair.l - 1][2])
             if p_extreme >= -d.boundary_distance(span) - 1 and not pair.in_full:
                 violations.append(
                     f"pair ({pair.k}, {pair.l}) should be linked: extreme overlap "

@@ -19,7 +19,6 @@ __all__ = [
     "RSet",
     "rset",
     "rset_restricted",
-    "rset_same_node",
     "PairRelation",
     "kr_pair_relation",
     "kr_dual_pair_simple",
@@ -79,13 +78,6 @@ def rset_restricted(
     if not lo <= min(i, j) <= max(i, j) <= hi:
         raise IntervalDoesNotContain(f"interval [{lo}, {hi}] does not contain [{i}, {j}]")
     return RSet(i, j, r, s, (lo, hi), *reducibility_bounds(i, j, r, s, lo, hi))
-
-
-def rset_same_node(d: DynkinA, i: int, r: int, s: int) -> RSet:
-    """Single-node reducibility set {r + s - 2p : 0 <= p < min(r, s)}."""
-    check_length(r, s)
-    d.check_node(i)
-    return RSet(i, i, r, s, (i, i), *reducibility_bounds(i, i, r, s, i, i))
 
 
 class PairRelation(NamedTuple):

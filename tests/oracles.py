@@ -2,16 +2,17 @@
 
 Each reference is an earlier, simpler version of the function it checks,
 copied unchanged unless noted.  The module imports neither the
-reducibility kernel ``dynkin.reducible`` nor ``BitMasks``.  Two references
-still call library code that reaches the kernel: ``q_factorize`` checks
-its result with ``is_q_factorization``, and the dual certificate tests its
-pairs with ``kr_dual_pair_simple``.
+reducibility kernel ``dynkin.reducible`` nor ``BitMasks``, and no
+reference calls library code that reaches the kernel: every reducibility
+test here goes through the closed forms below.
 
-- The kernel, ``rset``, ``rset_restricted``, ``rset_same_node`` and
-  ``kr_pair_relation``: the closed forms ``rset`` through
-  ``kr_pair_relation``.  They recompute every reducibility set through
-  ``DynkinA.distance`` and ``boundary_distance``.  Their length check
-  ``_check_lengths`` is the one ``redsets`` kept before the rule moved to
+- The kernel, ``rset``, ``rset_restricted`` (also on one node, as
+  ``rset_same_node``), ``kr_pair_relation`` and ``kr_dual_pair_simple``:
+  the closed forms ``rset`` through ``kr_dual_pair_simple``.  They
+  recompute every reducibility set through ``DynkinA.distance`` and
+  ``boundary_distance``, and the right dual of (j, c, s) as
+  (n + 1 - j, c - (n + 1), s).  Their length check ``_check_lengths`` is
+  the one ``redsets`` kept before the rule moved to
   ``lweight.check_length`` (it accepts a bool).
 - ``build_graph`` and the center-window arrow scan
   ``fgraph._forced_arrows``: ``_graph_from_factors``, which tests every
@@ -29,7 +30,7 @@ pairs with ``kr_dual_pair_simple``.
 - ``q_factorize``: ``q_factorize`` and ``_longest_run``, the
   root-expanding run peeling the endpoint sweep replaced.  Every root of
   every string goes into a multiset, and the longest step-2 run is peeled
-  off repeatedly.
+  off repeatedly.  The result is checked with ``_strings_interact``.
 - ``is_totally_ordered``: ``is_totally_ordered``, which builds the whole
   partial order by DFS and compares every pair of vertices, where the
   library runs a topological sort.
@@ -54,9 +55,11 @@ from qfactgraph import (
     Arrow,
     Cut,
     CutClass,
+    CutWitness,
     CyclicGraph,
     DrinfeldPoly,
     DualCertificate,
+    DualCutWitness,
     DynkinA,
     FactGraph,
     IntervalDoesNotContain,
@@ -69,17 +72,15 @@ from qfactgraph import (
     PairRelation,
     RSet,
     TooManyVertices,
+    ValidationFailure,
+    ValidationReport,
     Verdict,
-    Vertex,
-    is_q_factorization,
-    kr_dual_pair_simple,
     poly_to_json,
     roots_of,
     subgraph,
     to_polynomial,
 )
-from qfactgraph.primality import CutWitness, DualCutWitness
-from qfactgraph.fgraph import _LEVELS, ValidationFailure, ValidationReport
+from qfactgraph.fgraph import _LEVELS
 from qfactgraph.redsets import SIMPLE
 
 
@@ -148,6 +149,13 @@ def kr_pair_relation(d: DynkinA, f: KRFactor, g: KRFactor) -> PairRelation:
     return SIMPLE
 
 
+def kr_dual_pair_simple(d: DynkinA, f: KRFactor, g: KRFactor) -> bool:
+    """True iff the product of f with the right dual of g is simple.  The
+    right dual of (j, c, s) over A_n is (n + 1 - j, c - (n + 1), s)."""
+    gdual = KRFactor(d.n + 1 - g.color, g.center - (d.n + 1), g.length, g.coset)
+    return kr_pair_relation(d, f, gdual).kind == "Simple"
+
+
 def _strings_interact(a: KRFactor, b: KRFactor) -> bool:
     # Two same-color strings fail the q-factorization condition exactly when
     # their center gap lies in {r + s - 2p : 0 <= p < min(r, s)}, i.e. the
@@ -160,7 +168,7 @@ def _strings_interact(a: KRFactor, b: KRFactor) -> bool:
 
 def _graph_from_factors(rank: DynkinA, factors: tuple[KRFactor, ...]) -> FactGraph:
     vertices = {
-        k: Vertex(f.color, f.center, f.length, f.coset) for k, f in enumerate(factors)
+        k: KRFactor(f.color, f.center, f.length, f.coset) for k, f in enumerate(factors)
     }
     arrows = []
     for a, fa in enumerate(factors):
@@ -488,7 +496,8 @@ def q_factorize(p: DrinfeldPoly) -> DrinfeldPoly:
     Per (color, coset) class the factors are expanded into their root
     multiset; the longest step-2 run present is peeled off repeatedly
     (leftmost on ties), each peel emitting one KR factor.  The result is
-    verified pairwise; a failure indicates a bug, not bad input.
+    verified pairwise by _strings_interact; a failure indicates a bug,
+    not bad input.
     """
     out: list[KRFactor] = []
     groups: dict[tuple[int, int], Counter] = defaultdict(Counter)
@@ -502,10 +511,11 @@ def q_factorize(p: DrinfeldPoly) -> DrinfeldPoly:
                 if not pool[x]:
                     del pool[x]
             out.append(KRFactor(color, start + length - 1, length, coset))
-    result = DrinfeldPoly(p.rank, tuple(out))
-    if not is_q_factorization(result):
-        raise InternalInvariantViolation("run peeling produced interacting strings")
-    return result
+    for k, a in enumerate(out):
+        for b in out[k + 1 :]:
+            if (a.color, a.coset) == (b.color, b.coset) and _strings_interact(a, b):
+                raise InternalInvariantViolation("run peeling produced interacting strings")
+    return DrinfeldPoly(p.rank, tuple(out))
 
 
 def is_totally_ordered(g: FactGraph) -> bool:

@@ -246,6 +246,20 @@ def test_data_error_exit_code():
     assert invoke("rset", "1", "9", "1", "1", "--rank", "3")[0] == 65
 
 
+def test_list_parse_errors_point_at_the_bad_part(capsys):
+    # A bad part of an int list is reported at its index, as a bad snake
+    # point is, and the exit code stays 65.
+    cases = (
+        (("family", "skew", "--lambda", "3,x,1", "--rank", "1"), 1),
+        (("family", "skew", "--lambda", "3,1", "--mu", "1,1,y", "--rank", "1"), 2),
+        (("family", "snake", "--points", "1:0,1:x", "--rank", "2"), 1),
+    )
+    for argv, position in cases:
+        capsys.readouterr()
+        assert invoke(*argv)[0] == 65
+        assert capsys.readouterr().err.endswith(f"(at position {position})\n")
+
+
 def test_parse_accumulates_multiplicity():
     code, text = invoke("factorize", "--rank", "5", "1:0:1 1:0:1")
     assert code == 0 and text.strip() == "1:0:1 1:0:1"

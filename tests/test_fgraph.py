@@ -13,7 +13,7 @@ from qfactgraph import (
     KRFactor,
     RankMismatch,
     TooManyVertices,
-    Vertex,
+    ancestors,
     arrow_dual,
     build_graph,
     canonical,
@@ -21,6 +21,7 @@ from qfactgraph import (
     color_dual,
     connected_components,
     cuts,
+    descendants,
     dual_negate,
     dual_sigma,
     graph_tensor,
@@ -31,7 +32,6 @@ from qfactgraph import (
     is_totally_ordered,
     is_tournament,
     is_tree,
-    neighborhoods,
     parse_poly,
     partial_order,
     sinks,
@@ -49,7 +49,7 @@ from conftest import A2, A3, A5, arrow_data
 
 def line_graph(*centers, color=1, rank=A5):
     """Hand-built monotonic line v0 -> v1 -> ... with given centers."""
-    vertices = {k: Vertex(color, c, 1) for k, c in enumerate(centers)}
+    vertices = {k: KRFactor(color, c, 1) for k, c in enumerate(centers)}
     arrows = tuple(
         Arrow(k, k + 1, centers[k] - centers[k + 1]) for k in range(len(centers) - 1)
     )
@@ -100,14 +100,14 @@ def test_validate_trivial_example_pseudo_but_not_qfact():
 
 
 def test_validate_prefact_catches_bad_exponent():
-    g = FactGraph(A2, {0: Vertex(1, 3, 1), 1: Vertex(2, 0, 1)}, (Arrow(0, 1, 5),))
+    g = FactGraph(A2, {0: KRFactor(1, 3, 1), 1: KRFactor(2, 0, 1)}, (Arrow(0, 1, 5),))
     report = validate(g, "prefact")
     assert not report.ok and report.first.kind == "bad-exponent"
 
 
 def test_validate_pseudo_catches_unjustified_arrow():
     # exponent 5 matches the centers but misses rset(1, 2, 1, 1) = {3} on A_2
-    g = FactGraph(A2, {0: Vertex(1, 5, 1), 1: Vertex(2, 0, 1)}, (Arrow(0, 1, 5),))
+    g = FactGraph(A2, {0: KRFactor(1, 5, 1), 1: KRFactor(2, 0, 1)}, (Arrow(0, 1, 5),))
     assert validate(g, "prefact").ok
     report = validate(g, "pseudo")
     assert not report.ok and report.first.kind == "unjustified-arrow"
@@ -156,7 +156,7 @@ def test_partial_order_triangle_total(triangle1_graph):
 def test_partial_order_rejects_cycles():
     g = FactGraph(
         A2,
-        {0: Vertex(1, 0, 1), 1: Vertex(2, 0, 1)},
+        {0: KRFactor(1, 0, 1), 1: KRFactor(2, 0, 1)},
         (Arrow(0, 1, 1), Arrow(1, 0, 1)),
     )
     with pytest.raises(CyclicGraph):
@@ -168,11 +168,11 @@ def test_is_totally_ordered_rejects_cycles():
     # stalls on it either way.
     cycle = FactGraph(
         A2,
-        {0: Vertex(1, 0, 1), 1: Vertex(2, 0, 1)},
+        {0: KRFactor(1, 0, 1), 1: KRFactor(2, 0, 1)},
         (Arrow(0, 1, 1), Arrow(1, 0, 1)),
     )
     below = FactGraph(
-        A2, {**cycle.vertices, 2: Vertex(1, 2, 1)}, (*cycle.arrows, Arrow(2, 0, 2))
+        A2, {**cycle.vertices, 2: KRFactor(1, 2, 1)}, (*cycle.arrows, Arrow(2, 0, 2))
     )
     for g in (cycle, below):
         with pytest.raises(CyclicGraph):
@@ -197,7 +197,7 @@ def test_tree_line_predicates(snake_graph):
     assert not is_tree(snake_graph)
     fork = FactGraph(
         A5,
-        {0: Vertex(1, 5, 1), 1: Vertex(2, 2, 1), 2: Vertex(3, 8, 1)},
+        {0: KRFactor(1, 5, 1), 1: KRFactor(2, 2, 1), 2: KRFactor(3, 8, 1)},
         (Arrow(0, 1, 3), Arrow(2, 1, 6)),
     )
     assert is_tree(fork) and is_line(fork) and not is_monotonic_line(fork)
@@ -207,24 +207,24 @@ def test_tree_line_predicates(snake_graph):
 
 def test_neighborhoods_line():
     g = line_graph(6, 3, 0)
-    assert neighborhoods(g, 0, -1) == {1, 2}
-    assert neighborhoods(g, 0, +1) == frozenset()
-    assert neighborhoods(g, 2, +1) == {0, 1}
+    assert descendants(g, 0) == {1, 2}
+    assert ancestors(g, 0) == frozenset()
+    assert ancestors(g, 2) == {0, 1}
 
 
 def test_neighborhoods_isolated():
     g = build_graph(DrinfeldPoly(A5, (KRFactor(1, 0, 1),)))
-    assert neighborhoods(g, 0, +1) == frozenset()
-    assert neighborhoods(g, 0, -1) == frozenset()
+    assert ancestors(g, 0) == frozenset()
+    assert descendants(g, 0) == frozenset()
     with pytest.raises(InvalidVertex):
-        neighborhoods(g, 5, +1)
+        ancestors(g, 5)
 
 
 def test_neighborhoods_snake(snake_graph):
     top = next(
         v for v in snake_graph.ids() if snake_graph.vertices[v].center == 7
     )
-    assert neighborhoods(snake_graph, top, -1) == frozenset(
+    assert descendants(snake_graph, top) == frozenset(
         set(snake_graph.ids()) - {top}
     )
 

@@ -28,13 +28,15 @@ from qfactgraph import (
     DynkinA,
     FactGraph,
     KRFactor,
-    Vertex,
+    ValidationFailure,
+    ancestors,
     build_graph,
     classify,
     classify_cut,
     connected_components,
     cut_reducible_extremal,
     cuts,
+    descendants,
     dual_neighborhood_certificate,
     is_line,
     is_monotonic_line,
@@ -42,12 +44,12 @@ from qfactgraph import (
     is_totally_ordered,
     is_tournament,
     is_tree,
+    kr_dual_pair_simple,
     kr_pair_relation,
     partial_order,
     q_factorize,
     rset,
     rset_restricted,
-    rset_same_node,
     sinks,
     sources,
     subgraph,
@@ -58,7 +60,7 @@ from qfactgraph import (
 from qfactgraph import primality
 from qfactgraph.cli import _dumps, _write_verdict
 from qfactgraph.dynkin import reducibility_bounds, reducible
-from qfactgraph.fgraph import ValidationFailure, _forced_arrows, ancestors, descendants
+from qfactgraph.fgraph import _forced_arrows
 from qfactgraph.lweight import interacting_pairs
 
 from conftest import unknown_verdict
@@ -96,11 +98,13 @@ def test_kernel_matches_oracle(case):
     assert reducible(abs(gap), i, j, r, s, lo, hi) == (abs(gap) in old_restricted)
     assert rset(d, i, j, r, s) == old_full
     assert rset_restricted(d, i, j, r, s, ambient) == old_restricted
-    assert rset_same_node(d, i, r, s) == oracles.rset_same_node(d, i, r, s)
+    assert rset_restricted(d, i, i, r, s, [i]) == oracles.rset_same_node(d, i, r, s)
     # Signed gaps exercise both arrow directions; cosets the simple branch.
     f, g = KRFactor(i, 7 + gap, r), KRFactor(j, 7, s, coset)
     assert kr_pair_relation(d, f, g) == oracles.kr_pair_relation(d, f, g)
     assert kr_pair_relation(d, g, f) == oracles.kr_pair_relation(d, g, f)
+    assert kr_dual_pair_simple(d, f, g) == oracles.kr_dual_pair_simple(d, f, g)
+    assert kr_dual_pair_simple(d, g, f) == oracles.kr_dual_pair_simple(d, g, f)
     same = KRFactor(i, 7, s, coset)
     poly = DrinfeldPoly(d, (f, same))
     expected = f.coset != same.coset or not oracles._strings_interact(f, same)
@@ -604,11 +608,11 @@ def test_order_structure_on_cycles():
     # reachability still matches the oracle at every vertex.
     rank = DynkinA(2)
     two = FactGraph(
-        rank, {0: Vertex(1, 0, 1), 1: Vertex(2, 0, 1)}, (Arrow(0, 1, 1), Arrow(1, 0, 1))
+        rank, {0: KRFactor(1, 0, 1), 1: KRFactor(2, 0, 1)}, (Arrow(0, 1, 1), Arrow(1, 0, 1))
     )
     three = FactGraph(
         rank,
-        {v: Vertex(1 + v % 2, v, 1) for v in range(5)},
+        {v: KRFactor(1 + v % 2, v, 1) for v in range(5)},
         (Arrow(0, 1, 1), Arrow(1, 2, 1), Arrow(2, 3, 1), Arrow(3, 1, 1), Arrow(3, 4, 1)),
     )
     for g in (two, three):

@@ -342,6 +342,30 @@ def test_chain_arrow_closure_boundary_chain_only_consecutive():
     assert linked == {(1, 2), (2, 3)}
 
 
+def test_each_chain_function_checks_its_chain_once(monkeypatch):
+    # One _check_chain per call, so a 4-entry chain builds 3 rsets for its
+    # consecutive pairs and, in the audit, 6 more for all of its pairs.
+    calls = []
+
+    def counted(name):
+        function = getattr(primality, name)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            return function(*args, **kwargs)
+
+        return call
+
+    for name in ("_check_chain", "rset"):
+        monkeypatch.setattr(primality, name, counted(name))
+    chain = [(0, 1, 3), (3, 1, 4), (6, 1, 5), (9, 1, 6)]
+    chain_p_matrix(A8, chain)
+    assert calls == ["_check_chain"] + ["rset"] * 3
+    calls.clear()
+    chain_arrow_closure(A8, chain)
+    assert calls == ["_check_chain"] + ["rset"] * 9
+
+
 def test_chain_arrow_closure_requires_increasing():
     with pytest.raises(ChainConditionViolated):
         chain_arrow_closure(A5, [(3, 1, 2), (0, 1, 3)])

@@ -15,7 +15,6 @@ from qfactgraph import (
     kr_pair_relation,
     rset,
     rset_restricted,
-    rset_same_node,
 )
 
 from conftest import A2, A3, A5
@@ -47,7 +46,7 @@ def test_rset_refuses_bool_lengths():
             with pytest.raises(NonPositiveLength):
                 rset_restricted(A3, 1, 2, r, s, range(1, 4))
             with pytest.raises(NonPositiveLength):
-                rset_same_node(A3, 1, r, s)
+                rset_restricted(A3, 1, 1, r, s, [1])
 
 
 def test_rset_restricted_checks_in_order():
@@ -80,13 +79,13 @@ def test_rset_rejects_bad_nodes():
     with pytest.raises(InvalidNode):
         rset(A3, 0, 1, 1, 1)
     with pytest.raises(InvalidNode):
-        rset_same_node(A3, 5, 1, 1)
+        rset_restricted(A3, 5, 5, 1, 1, [5])
 
 
 def test_rset_same_node_examples():
-    assert list(rset_same_node(A5, 1, 2, 1)) == [3]
-    assert list(rset_same_node(A5, 1, 1, 1)) == [2]
-    assert list(rset_same_node(A5, 2, 3, 3)) == [2, 4, 6]
+    assert list(rset_restricted(A5, 1, 1, 2, 1, [1])) == [3]
+    assert list(rset_restricted(A5, 1, 1, 1, 1, [1])) == [2]
+    assert list(rset_restricted(A5, 2, 2, 3, 3, [2])) == [2, 4, 6]
 
 
 def test_rset_membership_matches_members():
