@@ -52,9 +52,10 @@ class DynkinA:
 
     def check_interval(self, nodes: Iterable[int]) -> tuple[int, int]:
         """The ends (lo, hi) of a nonempty connected interval of nodes.  A
-        unit-step range is checked in place, so a huge one fails by node
-        n + 1 and is never materialized."""
-        js = nodes if isinstance(nodes, range) and nodes.step == 1 else sorted(set(nodes))
+        unit-step range is connected, so it is checked by its two ends."""
+        if isinstance(nodes, range) and nodes.step == 1 and nodes:
+            return self.check_node(nodes[0]), self.check_node(nodes[-1])
+        js = sorted(set(nodes))
         if not js:
             raise InvalidInterval("empty node interval")
         for j in js:

@@ -249,9 +249,12 @@ def dual_neighborhood_certificate(
 ) -> DualCertificate | None:
     """Try to certify primality by exhibiting, for every cut, a base pair
     joined by an arrow whose punctured neighborhood products are all
-    simple against the appropriate duals.  Returns None as soon as one
-    cut admits no witness.  A witness checks (left, right) pairs of the
-    tested vertices, ordered by left vertex, bar the base pair."""
+    simple against the appropriate duals.  Returns None as soon as one cut
+    admits no witness, and for the empty graph (its module is trivial).  A
+    witness checks (left, right) pairs of the tested vertices, ordered by
+    left vertex, bar the base pair."""
+    if not g.vertices:
+        return None
     m = g.masks
     rows = _DualRows(g)
     ids = m.ids
@@ -447,37 +450,29 @@ def chain_arrow_closure(d: DynkinA, chain: list[tuple[int, int, int]]) -> ChainR
     entries = _check_chain(d, chain, increasing=True)
     pmat = _p_matrix(d, entries)
     n = len(entries)
+    p_extreme = pmat.get((n, 1))
     pairs: list[ChainPair] = []
-    spans: list[frozenset[int]] = []
     violations: list[str] = []
     for k in range(1, n + 1):
         mk, rk, ik = entries[k - 1]
         for l in range(k + 1, n + 1):
             ml, rl, il = entries[l - 1]
             delta = ml - mk
+            span = range(min(ik, il), max(ik, il) + 1)
             in_full = delta in rset(d, ik, il, rk, rl)
-            span = d.interval(ik, il)
             in_interval = delta in rset_restricted(d, ik, il, rk, rl, span)
             pairs.append(ChainPair(k, l, delta, pmat[(l, k)], in_full, in_interval))
-            spans.append(span)
-    if n >= 2:
-        p_extreme = pmat[(n, 1)]
-        for pair, span in zip(pairs, spans):
-            if (pair.k, pair.l) == (1, n):
-                continue
-            if p_extreme >= -d.boundary_distance(span) - 1 and not pair.in_full:
+            if (k, l) != (1, n) and p_extreme >= -d.boundary_distance(span) - 1 and not in_full:
                 violations.append(
-                    f"pair ({pair.k}, {pair.l}) should be linked: extreme overlap "
+                    f"pair ({k}, {l}) should be linked: extreme overlap "
                     f"{p_extreme} is within one of its interval bound"
                 )
-        extreme = next(p for p in pairs if (p.k, p.l) == (1, n))
-        if extreme.in_interval:
-            for pair in pairs:
-                if not pair.in_interval:
-                    violations.append(
-                        f"pair ({pair.k}, {pair.l}) escapes its interval set although "
-                        "the extreme pair is interval-linked"
-                    )
+    if n >= 2 and pairs[n - 2].in_interval:  # pairs[n - 2] is the extreme pair (1, n)
+        violations += (
+            f"pair ({p.k}, {p.l}) escapes its interval set although "
+            "the extreme pair is interval-linked"
+            for p in pairs if not p.in_interval
+        )
     return ChainReport(tuple(pairs), tuple(violations))
 
 

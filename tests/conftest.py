@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import hypothesis.strategies as st
 import pytest
 
+import oracles
 from qfactgraph import (
     DrinfeldPoly,
     DynkinA,
@@ -57,6 +59,25 @@ def snake_graph(snake_a5):
 @pytest.fixture
 def skew1_shape():
     return SkewShape(A3, (20, 16, 10, 7, 2, 0), (17, 5))
+
+
+@st.composite
+def increasing_chains(draw, max_len=6, max_rank=8, max_weight=4):
+    """Strictly increasing chains of (center, length, color) entries whose
+    consecutive gaps are drawn from the reference reducibility sets."""
+    d = DynkinA(draw(st.integers(1, max_rank)))
+    length = draw(st.integers(1, max_len))
+    m = draw(st.integers(0, 10))
+    r = draw(st.integers(1, max_weight))
+    i = draw(st.integers(1, d.n))
+    chain = [(m, r, i)]
+    for _ in range(length - 1):
+        r_next = draw(st.integers(1, max_weight))
+        i_next = draw(st.integers(1, d.n))
+        m += draw(st.sampled_from(oracles.rset(d, i, i_next, r, r_next).members))
+        chain.append((m, r_next, i_next))
+        r, i = r_next, i_next
+    return d, chain
 
 
 def vertex_data(g, v):

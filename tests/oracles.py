@@ -39,6 +39,11 @@ test here goes through the closed forms below.
   but for one thing.  They read the three dict adjacencies ``FactGraph``
   used to cache (``_out_adj``, ``_in_adj``, ``_undirected_adj``, built
   here from the arrows).
+- The chain audit ``chain_arrow_closure``: the version that carried each
+  pair's span as a node set and checked the implications in a second
+  pass, copied unchanged but for its chain check ``_check_chain`` and
+  p-matrix ``_p_matrix``, which are written here on the closed-form
+  ``rset`` instead of the library's.
 - The CLI's verdict writer ``cli._write_verdict``: ``_verdict_to_json``,
   the encoder from before the report was streamed from its rows.  Every
   report entry is a dict with two freshly sorted id lists, read from the
@@ -53,6 +58,9 @@ from typing import Iterator, Iterable, Mapping
 
 from qfactgraph import (
     Arrow,
+    ChainConditionViolated,
+    ChainPair,
+    ChainReport,
     Cut,
     CutClass,
     CutWitness,
@@ -67,6 +75,7 @@ from qfactgraph import (
     InvalidCut,
     InvalidInterval,
     KRFactor,
+    NonIntegralP,
     NonPositiveLength,
     NotQFactGraph,
     PairRelation,
@@ -416,7 +425,10 @@ def dual_neighborhood_certificate(
     """Try to certify primality by exhibiting, for every cut, a base pair
     joined by an arrow whose punctured neighborhood products are all
     simple against the appropriate duals.  Returns None as soon as one
-    cut admits no witness."""
+    cut admits no witness.  Edited: the empty graph, whose trivial module
+    is not prime, returns None too (it used to get an empty certificate)."""
+    if not g.vertices:
+        return None
     witnesses = []
     for cut in cuts(g, max_vertices=max_cut_vertices):
         w = _dual_cut_witness(g, cut)
@@ -712,3 +724,87 @@ def _verdict_to_json(v: Verdict) -> dict:
             for c in v.report
         ]
     return out
+
+
+def _check_chain(
+    d: DynkinA, chain: list[tuple[int, int, int]], increasing: bool
+) -> tuple[tuple[int, int, int], ...]:
+    """The chain's (center, length, color) entries as a tuple, once every
+    entry holds three ints and every consecutive gap lies in its pair's
+    reducibility set (and, if increasing, is positive)."""
+    chain = tuple((m, r, i) for m, r, i in chain)
+    for v in (v for entry in chain for v in entry):
+        if type(v) is not int:
+            raise TypeError(f"chain centers, lengths and colors must be ints, got {v!r}")
+    for (m0, r0, i0), (m1, r1, i1) in zip(chain, chain[1:]):
+        if increasing and m1 <= m0:
+            raise ChainConditionViolated(f"centers must strictly increase, got {m0} then {m1}")
+        if abs(m1 - m0) not in rset(d, i0, i1, r0, r1):
+            raise ChainConditionViolated(
+                f"|{m1} - {m0}| is outside the reducibility set of the "
+                f"consecutive pair ({i0}, {r0}), ({i1}, {r1})"
+            )
+    return chain
+
+
+def _p_matrix(
+    d: DynkinA, entries: tuple[tuple[int, int, int], ...]
+) -> dict[tuple[int, int], int]:
+    out: dict[tuple[int, int], int] = {}
+    for k in range(1, len(entries) + 1):
+        mk, rk, ik = entries[k - 1]
+        for l in range(k + 1, len(entries) + 1):
+            ml, rl, il = entries[l - 1]
+            num = rl + rk + d.distance(il, ik) - (ml - mk)
+            if num % 2:
+                raise NonIntegralP(
+                    f"p_({l},{k}) = {num}/2 is not an integer; the chain is inconsistent"
+                )
+            out[(l, k)] = num // 2
+    return out
+
+
+def chain_arrow_closure(d: DynkinA, chain: list[tuple[int, int, int]]) -> ChainReport:
+    """Pairwise reducibility audit of a strictly increasing chain.
+
+    For every pair (k, l) the report records whether the center gap lies
+    in the full and in the interval-restricted reducibility sets, and
+    cross-checks the closure implications: a pair whose extreme overlap
+    parameter is within one of its interval bound must be linked, and if
+    the extreme pair is linked within its interval then every pair is.
+    """
+    entries = _check_chain(d, chain, increasing=True)
+    pmat = _p_matrix(d, entries)
+    n = len(entries)
+    pairs: list[ChainPair] = []
+    spans: list[frozenset[int]] = []
+    violations: list[str] = []
+    for k in range(1, n + 1):
+        mk, rk, ik = entries[k - 1]
+        for l in range(k + 1, n + 1):
+            ml, rl, il = entries[l - 1]
+            delta = ml - mk
+            in_full = delta in rset(d, ik, il, rk, rl)
+            span = d.interval(ik, il)
+            in_interval = delta in rset_restricted(d, ik, il, rk, rl, span)
+            pairs.append(ChainPair(k, l, delta, pmat[(l, k)], in_full, in_interval))
+            spans.append(span)
+    if n >= 2:
+        p_extreme = pmat[(n, 1)]
+        for pair, span in zip(pairs, spans):
+            if (pair.k, pair.l) == (1, n):
+                continue
+            if p_extreme >= -d.boundary_distance(span) - 1 and not pair.in_full:
+                violations.append(
+                    f"pair ({pair.k}, {pair.l}) should be linked: extreme overlap "
+                    f"{p_extreme} is within one of its interval bound"
+                )
+        extreme = next(p for p in pairs if (p.k, p.l) == (1, n))
+        if extreme.in_interval:
+            for pair in pairs:
+                if not pair.in_interval:
+                    violations.append(
+                        f"pair ({pair.k}, {pair.l}) escapes its interval set although "
+                        "the extreme pair is interval-linked"
+                    )
+    return ChainReport(tuple(pairs), tuple(violations))

@@ -54,9 +54,9 @@ def test_check_interval_returns_the_ends():
 
 
 def test_boundary_distance_rejects_a_huge_range_in_place():
-    # A unit-step range is checked node by node and fails at node n + 1,
-    # so the million-node range is never built (building it peaked at
-    # about 73 MB).
+    # A unit-step range is checked by its two ends and fails at its last
+    # node, so the million-node range is never built (building it peaked
+    # at about 73 MB).
     A3.boundary_distance(range(1, 3))  # warm up
     tracemalloc.start()
     try:
@@ -66,6 +66,21 @@ def test_boundary_distance_rejects_a_huge_range_in_place():
     finally:
         tracemalloc.stop()
     assert peak < 1024 * 1024
+
+
+def test_check_interval_reads_a_range_by_its_two_ends(monkeypatch):
+    # A unit-step range is connected, so its two ends decide; the cost
+    # must not grow with the range (node by node, this made 10^6 calls).
+    calls = []
+    check_node = DynkinA.check_node
+
+    def counted(self, i):
+        calls.append(i)
+        return check_node(self, i)
+
+    monkeypatch.setattr(DynkinA, "check_node", counted)
+    assert DynkinA(10**6).check_interval(range(1, 10**6 + 1)) == (1, 10**6)
+    assert len(calls) <= 2
 
 
 def test_star_examples():

@@ -1,8 +1,8 @@
 """Differential tests: the reducibility kernel, the shared construction
 loop, validate, the bitmask cut engine, the bit-sliced report rows, the
 endpoint-sweep q-factorization, the center-window pair scans, the
-topological order check and the mask-based order structure against the
-reference implementations in oracles.py."""
+topological order check, the mask-based order structure and the chain
+audit against the reference implementations in oracles.py."""
 
 from __future__ import annotations
 
@@ -31,6 +31,7 @@ from qfactgraph import (
     ValidationFailure,
     ancestors,
     build_graph,
+    chain_arrow_closure,
     classify,
     classify_cut,
     connected_components,
@@ -63,7 +64,7 @@ from qfactgraph.dynkin import reducibility_bounds, reducible
 from qfactgraph.fgraph import _forced_arrows
 from qfactgraph.lweight import interacting_pairs
 
-from conftest import unknown_verdict
+from conftest import increasing_chains, unknown_verdict
 
 COMMON = dict(
     deadline=None,
@@ -83,13 +84,14 @@ def kernel_cases(draw):
     hi = draw(st.integers(max(i, j), d.n))
     gap = draw(st.integers(-40, 40))
     coset = draw(st.integers(0, 1))
-    return d, i, j, r, s, lo, hi, gap, coset
+    out = draw(st.integers(1, 40))
+    return d, i, j, r, s, lo, hi, gap, coset, out
 
 
 @settings(max_examples=600, **COMMON)
 @given(kernel_cases())
 def test_kernel_matches_oracle(case):
-    d, i, j, r, s, lo, hi, gap, coset = case
+    d, i, j, r, s, lo, hi, gap, coset, out = case
     ambient = range(lo, hi + 1)
     old_full = oracles.rset(d, i, j, r, s)
     old_restricted = oracles.rset_restricted(d, i, j, r, s, ambient)
@@ -99,6 +101,13 @@ def test_kernel_matches_oracle(case):
     assert rset(d, i, j, r, s) == old_full
     assert rset_restricted(d, i, j, r, s, ambient) == old_restricted
     assert rset_restricted(d, i, i, r, s, [i]) == oracles.rset_same_node(d, i, r, s)
+    # Unit-step ranges that leave the diagram by out nodes on either side.
+    for outside in (range(1 - out, hi + 1), range(lo, d.n + 1 + out)):
+        with pytest.raises(Exception) as old:
+            oracles.rset_restricted(d, i, j, r, s, outside)
+        with pytest.raises(Exception) as new:
+            rset_restricted(d, i, j, r, s, outside)
+        assert new.type is old.type
     # Signed gaps exercise both arrow directions; cosets the simple branch.
     f, g = KRFactor(i, 7 + gap, r), KRFactor(j, 7, s, coset)
     assert kr_pair_relation(d, f, g) == oracles.kr_pair_relation(d, f, g)
@@ -110,6 +119,15 @@ def test_kernel_matches_oracle(case):
     expected = f.coset != same.coset or not oracles._strings_interact(f, same)
     assert is_q_factorization(poly) == expected
     assert build_graph(poly) == oracles._graph_from_factors(d, poly.factors)
+
+
+@settings(max_examples=500, **COMMON)
+@given(increasing_chains())
+def test_chain_audit_matches_oracle(data):
+    # Valid chains satisfy both closure implications, so the reports carry
+    # no violation and the group checks every pair's fields.
+    d, chain = data
+    assert chain_arrow_closure(d, chain) == oracles.chain_arrow_closure(d, chain)
 
 
 @st.composite
@@ -216,16 +234,20 @@ def grow(d: DynkinA, size: int, rng: random.Random) -> tuple[KRFactor, ...]:
     """A connected q-factorization of up to size factors of length <= 3:
     each new factor is attached to an existing one at a gap from their
     reducibility set, and dropped if it interacts with a factor of its
-    color."""
+    color and coset.  Gaps and interactions come from the references, so
+    the inputs do not move with the code under test."""
     factors = [KRFactor(rng.randint(1, d.n), 0, rng.randint(1, 3))]
     for _ in range(4 * size):
         if len(factors) == size:
             break
         anchor = rng.choice(factors)
         color, length = rng.randint(1, d.n), rng.randint(1, 3)
-        gap = rng.choice(rset(d, anchor.color, color, anchor.length, length).members)
+        gap = rng.choice(oracles.rset(d, anchor.color, color, anchor.length, length).members)
         new = KRFactor(color, anchor.center + rng.choice((-gap, gap)), length)
-        if is_q_factorization(DrinfeldPoly(d, (*factors, new))):
+        if not any(
+            (f.color, f.coset) == (new.color, new.coset) and oracles._strings_interact(f, new)
+            for f in factors
+        ):
             factors.append(new)
     return tuple(factors)
 

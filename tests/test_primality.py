@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from qfactgraph import (
     ChainConditionViolated,
     DrinfeldPoly,
+    DualCertificate,
+    DynkinA,
     InvalidCut,
     KRFactor,
     NotQFactGraph,
@@ -230,6 +234,14 @@ def test_dual_certificate_two_vertex_vacuous():
     assert cert.cuts[0].checked == ()
 
 
+def test_dual_certificate_empty_graph_none():
+    # The empty graph's module is trivial, which classify calls NotPrime,
+    # so it has no primality certificate; one vertex keeps its empty one.
+    assert dual_neighborhood_certificate(build_graph(DrinfeldPoly(A2, ()))) is None
+    single = build_graph(parse_poly("1:0:1", A2))
+    assert dual_neighborhood_certificate(single) == DualCertificate(cuts=())
+
+
 def test_dual_certificate_two_source_none(two_source_graph):
     assert dual_neighborhood_certificate(two_source_graph) is None
 
@@ -364,6 +376,21 @@ def test_each_chain_function_checks_its_chain_once(monkeypatch):
     calls.clear()
     chain_arrow_closure(A8, chain)
     assert calls == ["_check_chain"] + ["rset"] * 9
+
+
+def test_chain_arrow_closure_spans_are_read_by_their_ends():
+    # The pair spans 10^6 nodes, read by their two ends; carried as a
+    # node set, the span peaked at 107 MB.
+    d, chain = DynkinA(10**6), [(0, 1, 1), (10**6 + 1, 1, 10**6)]
+    chain_arrow_closure(A2, [(0, 1, 1), (3, 1, 2)])  # warm up
+    tracemalloc.start()
+    try:
+        report = chain_arrow_closure(d, chain)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok and report.pairs[0].in_interval
+    assert peak < 1024 * 1024
 
 
 def test_chain_arrow_closure_requires_increasing():

@@ -5,9 +5,11 @@ from collections import Counter
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, assume, given, settings
 
+import oracles
 from qfactgraph import (
     DrinfeldPoly,
     DynkinA,
+    FactGraph,
     KRFactor,
     SkewShape,
     Snake,
@@ -41,6 +43,8 @@ from qfactgraph import (
     validate,
     weight,
 )
+
+from conftest import increasing_chains
 
 COMMON = dict(
     deadline=None,
@@ -80,23 +84,6 @@ def rset_params(draw):
         draw(st.integers(1, 4)),
         draw(st.integers(1, 4)),
     )
-
-
-@st.composite
-def increasing_chains(draw, max_len=6, max_rank=8, max_weight=4):
-    d = DynkinA(draw(st.integers(1, max_rank)))
-    length = draw(st.integers(1, max_len))
-    m = draw(st.integers(0, 10))
-    r = draw(st.integers(1, max_weight))
-    i = draw(st.integers(1, d.n))
-    chain = [(m, r, i)]
-    for _ in range(length - 1):
-        r_next = draw(st.integers(1, max_weight))
-        i_next = draw(st.integers(1, d.n))
-        m += draw(st.sampled_from(rset(d, i, i_next, r, r_next).members))
-        chain.append((m, r_next, i_next))
-        r, i = r_next, i_next
-    return d, chain
 
 
 @st.composite
@@ -237,19 +224,6 @@ def test_duality_involutions(poly):
     assert validate(rev, "qfact").ok
 
 
-def _closure(arrows, ids):
-    reach = {v: {a.head for a in arrows if a.tail == v} for v in ids}
-    changed = True
-    while changed:
-        changed = False
-        for v in ids:
-            extra = set().union(*(reach[w] for w in reach[v])) if reach[v] else set()
-            if not extra <= reach[v]:
-                reach[v] |= extra
-                changed = True
-    return {(v, w) for v in ids for w in reach[v]}
-
-
 @settings(max_examples=500, **COMMON)
 @given(polys(max_factors=4, max_length=2))
 def test_transitive_reduction_preserves_closure(poly):
@@ -257,7 +231,7 @@ def test_transitive_reduction_preserves_closure(poly):
     assert len(g.vertices) <= 8
     reduced = transitive_reduction(g)
     assert set(reduced) <= set(g.arrows)
-    assert _closure(reduced, g.ids()) == _closure(g.arrows, g.ids())
+    assert oracles.partial_order(FactGraph(g.rank, g.vertices, reduced)) == oracles.partial_order(g)
 
 
 @settings(max_examples=500, **COMMON)
