@@ -54,7 +54,7 @@ class ChainConditionViolated(QfgError):
 
 
 class NonIntegralP(QfgError):
-    """A p-matrix entry came out non-integral; indicates a bug or bad input."""
+    """A p-matrix entry came out non-integral; indicates a bug."""
 
 
 class PreconditionViolated(QfgError):

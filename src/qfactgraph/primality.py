@@ -221,6 +221,10 @@ class _DualRows:
                 return False
         return True
 
+    def walk(self, m: BitMasks, lefts: range) -> bool:
+        """True iff every cut of lefts has a base pair that passes _dual_base."""
+        return all(_dual_base(m, self, left) for left in lefts)
+
 
 def _dual_base(m: BitMasks, rows: _DualRows, left: int) -> tuple[int, int, int, int] | None:
     """The first base pair (kl, kr) of the cut whose left side is the mask
@@ -249,27 +253,23 @@ def dual_neighborhood_certificate(
 ) -> DualCertificate | None:
     """Try to certify primality by exhibiting, for every cut, a base pair
     joined by an arrow whose punctured neighborhood products are all
-    simple against the appropriate duals.  Returns None as soon as one cut
-    admits no witness, and for the empty graph (its module is trivial).  A
-    witness checks (left, right) pairs of the tested vertices, ordered by
-    left vertex, bar the base pair."""
+    simple against the appropriate duals.  Returns None if one cut admits
+    no witness, and for the empty graph (its module is trivial).  Witnesses
+    are built only once classify's walk has passed every cut.  A witness
+    checks (left, right) pairs of the tested vertices, by left vertex, bar
+    the base pair."""
     if not g.vertices:
         return None
     m = g.masks
-    rows = _DualRows(g)
-    ids = m.ids
+    lefts = m.lefts(max_cut_vertices)
+    rows, ids = _DualRows(g), m.ids
+    if not rows.walk(m, lefts):
+        return None
     witnesses = []
-    for left in m.lefts(max_cut_vertices):
-        base = _dual_base(m, rows, left)
-        if base is None:
-            return None
-        kl, kr, condition, tested = base
-        checked = tuple(
-            (ids[x], ids[y])
-            for x in _bits(tested & left)
-            for y in _bits(tested & ~left)
-            if (x, y) != (kl, kr)
-        )
+    for left in lefts:
+        kl, kr, condition, tested = _dual_base(m, rows, left)
+        pairs = ((x, y) for x in _bits(tested & left) for y in _bits(tested & ~left))
+        checked = tuple((ids[x], ids[y]) for x, y in pairs if (x, y) != (kl, kr))
         witnesses.append(DualCutWitness(m.cut(left), ids[kl], ids[kr], condition, checked))
     return DualCertificate(tuple(witnesses))
 
@@ -330,23 +330,21 @@ def classify_cut(g: FactGraph, cut: Cut) -> CutClass:
 def classify(g: FactGraph, max_cut_vertices: int = _CUT_CAP) -> Verdict:
     """Decide primality of the module attached to a q-factorization graph.
 
-    Pipeline: disconnected graphs factor across components (NotPrime);
-    one- and two-vertex connected graphs are prime; totally ordered
-    graphs are prime; graphs with more than max_cut_vertices vertices are
-    Unknown with reason "cap-exceeded"; otherwise the dual-neighborhood
-    certificate is attempted, and failing that the verdict is Unknown
-    with every cut classified by the extremal-pair test.
+    Pipeline: graphs with zero or several components factor across them
+    (NotPrime); one- and two-vertex connected graphs are prime; totally
+    ordered graphs are prime; graphs with more than max_cut_vertices
+    vertices are Unknown with reason "cap-exceeded"; otherwise the
+    dual-neighborhood certificate is attempted, and failing that the
+    verdict is Unknown with every cut classified by the extremal-pair test.
     """
     report = validate(g, "qfact")
     if not report.ok:
         raise NotQFactGraph(f"graph fails q-factorization validation: {report.first}")
-    if not g.vertices:
-        # The empty polynomial denotes the trivial module, the unit of the
-        # tensor product; it is not prime and its witness is empty.
-        return Verdict("NotPrime", witness=())
     m = g.masks
     components = list(_component_masks(m))
-    if len(components) > 1:
+    if len(components) != 1:
+        # No component: the empty polynomial is the trivial module, the unit
+        # of the tensor product; it is not prime and its witness is empty.
         factors = (tuple(g.vertices[v] for v in m.members(comp)) for comp in components)
         return Verdict("NotPrime", witness=tuple(DrinfeldPoly(g.rank, f) for f in factors))
     n = len(g.vertices)
@@ -363,8 +361,7 @@ def classify(g: FactGraph, max_cut_vertices: int = _CUT_CAP) -> Verdict:
     if n > max_cut_vertices:
         return Verdict("Unknown", reason="cap-exceeded")
     lefts = m.lefts(max_cut_vertices)
-    rows = _DualRows(g)
-    if all(_dual_base(m, rows, left) for left in lefts):
+    if _DualRows(g).walk(m, lefts):
         return Verdict("Prime", certificate="DualNeighborhood")
     # The graph is connected, so an arrow crosses every cut.
     return Verdict("Unknown", report=_CutReport(g, lefts, _report_rows(g)))
@@ -395,7 +392,10 @@ def _check_chain(
 def _p_matrix(
     d: DynkinA, entries: tuple[tuple[int, int, int], ...]
 ) -> dict[tuple[int, int], int]:
-    """chain_p_matrix of entries that _check_chain has passed."""
+    """chain_p_matrix of entries that _check_chain has passed.  A gap in
+    rset(i, j, r, s) is r + s + |i - j| - 2p, so summing the consecutive gaps
+    gives m_l - m_k = r_k + r_l + |i_l - i_k| mod 2 (the inner r's come twice):
+    every numerator is even, and NonIntegralP can only mean a bug."""
     out: dict[tuple[int, int], int] = {}
     for k in range(1, len(entries) + 1):
         mk, rk, ik = entries[k - 1]

@@ -80,6 +80,16 @@ def test_validate_qfact_on_built_canonical(two_source_graph):
     assert validate(two_source_graph, "qfact").ok
 
 
+def test_factgraph_rejects_an_arrow_to_a_missing_vertex():
+    with pytest.raises(ValueError, match="missing vertex"):
+        FactGraph(A2, {0: KRFactor(1, 0, 1)}, [(0, 1, 2)])
+
+
+def test_validate_rejects_an_unknown_level(two_source_graph):
+    with pytest.raises(ValueError, match="level must be one of"):
+        validate(two_source_graph, "bogus")
+
+
 def test_validate_pseudo_catches_deleted_arrow(two_source_graph):
     removed = tuple(a for a in two_source_graph.arrows if a.exp != 4)
     g = FactGraph(two_source_graph.rank, dict(two_source_graph.vertices), removed)

@@ -26,6 +26,7 @@ from qfactgraph import (
     cut_reducible_extremal,
     cuts,
     dual_neighborhood_certificate,
+    is_line,
     is_totally_ordered,
     kr_dual_pair_simple,
     parse_poly,
@@ -34,8 +35,9 @@ from qfactgraph import (
     subgraph,
     tournament_family,
 )
+import oracles
 from qfactgraph import primality
-from qfactgraph.fgraph import Cut, FactGraph
+from qfactgraph.fgraph import BitMasks, Cut, FactGraph
 
 from conftest import A2, A3, A5, A8, unknown_verdict
 
@@ -242,6 +244,24 @@ def test_dual_certificate_empty_graph_none():
     assert dual_neighborhood_certificate(single) == DualCertificate(cuts=())
 
 
+def test_dual_certificate_builds_witnesses_once_every_cut_passes(monkeypatch):
+    # The certificate walks the cuts as classify does and builds a Cut only
+    # once all of them have passed: this 9-vertex graph passes 8 cuts, then
+    # fails one, and builds none.  A DualNeighborhood prime still gets one
+    # witness per cut, the oracle's.
+    built = []
+    cut = BitMasks.cut
+    monkeypatch.setattr(BitMasks, "cut", lambda m, left: built.append(left) or cut(m, left))
+    poly = "2:0:2 2:9:1 2:10:2 2:16:2 3:4:1 3:4:1 4:9:1 4:13:1 5:0:1"
+    g = build_graph(q_factorize(parse_poly(poly, A5)))
+    assert len(g.vertices) == 9 and dual_neighborhood_certificate(g) is None
+    assert built == []
+    prime = build_graph(q_factorize(parse_poly("1:0:2 2:4:1 3:6:2", A3)))
+    cert = dual_neighborhood_certificate(prime)
+    assert len(cert.cuts) == len(built) == 2 ** (len(prime.vertices) - 1) - 1
+    assert cert == oracles.dual_neighborhood_certificate(prime)
+
+
 def test_dual_certificate_two_source_none(two_source_graph):
     assert dual_neighborhood_certificate(two_source_graph) is None
 
@@ -405,6 +425,16 @@ def test_alternating_line_check_two_vertex():
 def test_alternating_line_check_three_chain():
     g = build_graph(parse_poly("1:0:1 2:3:1 1:6:1", A2))
     assert alternating_line_check(g)
+
+
+def test_alternating_line_check_false_both_ways():
+    # A line whose adjacent vertices share a color, and a totally ordered
+    # graph (2 -> 1 -> 0 and 2 -> 0) that is not a line.
+    line = build_graph(parse_poly("1:0:1 1:2:1", A2))
+    ordered = build_graph(parse_poly("1:0:2 1:2:2 1:4:2", A2))
+    assert is_line(line) and not alternating_line_check(line)
+    assert is_totally_ordered(ordered) and not is_line(ordered)
+    assert not alternating_line_check(ordered)
 
 
 def test_alternating_line_check_preconditions(two_source_graph, triangle1_graph):
