@@ -194,48 +194,28 @@ def cut_arrowless_simple(g: FactGraph, cut: Cut) -> bool:
     return _arrowless(g.masks, _left_mask(g, cut))
 
 
-class _DualRows:
-    """kr_dual_pair_simple on ordered vertex pairs of a graph, each pair
-    computed on first use and kept in row masks: bit y of simple[x] is set
-    iff the product of vertex x with the right dual of vertex y is simple."""
-
-    def __init__(self, g: FactGraph) -> None:
-        self.rank = g.rank
-        self.factors = tuple(g.vertices[v] for v in g.masks.ids)
-        self.known = [0] * len(self.factors)
-        self.simple = [0] * len(self.factors)
-
-    def all_simple(self, upper: int, lower: int, top: int, bottom: int) -> bool:
-        """Every vertex of upper is dual-simple against every vertex of
-        lower, except for the base pair (top, bottom).  A row is filled
-        only as far as a test needs it, and the test stops at the first
-        vertex of upper that fails."""
-        for x in _bits(upper):
-            need = lower & ~(1 << bottom) if x == top else lower
-            todo = need & ~self.known[x]
-            for y in _bits(todo):
-                if kr_dual_pair_simple(self.rank, self.factors[x], self.factors[y]):
-                    self.simple[x] |= 1 << y
-            self.known[x] |= todo
-            if need & ~self.simple[x]:
-                return False
-        return True
-
-    def walk(self, m: BitMasks, lefts: range) -> bool:
-        """True iff every cut of lefts has a base pair that passes _dual_base."""
-        return all(_dual_base(m, self, left) for left in lefts)
+def _dual_rows(g: FactGraph) -> list[int]:
+    """One row mask per vertex: bit y of row x is set iff the product of
+    vertex x with the right dual of vertex y is not simple, for y != x.  The
+    diagonal is always clear."""
+    d, factors = g.rank, [g.vertices[v] for v in g.masks.ids]
+    return [
+        sum(1 << y for y, fy in enumerate(factors) if y != x and not kr_dual_pair_simple(d, fx, fy))
+        for x, fx in enumerate(factors)
+    ]
 
 
-def _dual_base(m: BitMasks, rows: _DualRows, left: int) -> tuple[int, int, int, int] | None:
+def _dual_base(m: BitMasks, bad: list[int], left: int) -> tuple[int, int, int, int] | None:
     """The first base pair (kl, kr) of the cut whose left side is the mask
     left that passes the dual test, as (kl, kr, condition, tested) with
     tested the vertices whose pairs were tested, or None.
 
     An arrow t -> h across the cut passes if every vertex of upper (h and
     its ancestors on h's side) is dual-simple against every vertex of lower
-    (t and its descendants on t's side), bar the pair (h, t) itself.  Both
-    arrows of a pair are tried, kr -> kl first; condition is 1 exactly when
-    h is on the left."""
+    (t and its descendants on t's side), bar the pair (h, t) itself: no row
+    of bad over upper, with t cleared from h's, meets lower.  Both arrows of
+    a pair are tried, kr -> kl first; condition is 1 exactly when h is on
+    the left."""
     right = m.full ^ left
     for kl in _bits(left):
         for kr in _bits(m.nbr[kl] & right):
@@ -243,9 +223,15 @@ def _dual_base(m: BitMasks, rows: _DualRows, left: int) -> tuple[int, int, int, 
                 if m.out[t] >> h & 1:
                     upper = _closure(m.inn, 1 << h, side)
                     lower = _closure(m.out, 1 << t, m.full ^ side)
-                    if rows.all_simple(upper, lower, h, t):
+                    if not (bad[h] & ~(1 << t) & lower
+                            or any(bad[x] & lower for x in _bits(upper ^ 1 << h))):
                         return kl, kr, condition, upper | lower
     return None
+
+
+def _dual_walk(m: BitMasks, bad: list[int], lefts: range) -> bool:
+    """True iff every cut of lefts has a base pair that passes _dual_base."""
+    return all(_dual_base(m, bad, left) for left in lefts)
 
 
 def dual_neighborhood_certificate(
@@ -262,12 +248,12 @@ def dual_neighborhood_certificate(
         return None
     m = g.masks
     lefts = m.lefts(max_cut_vertices)
-    rows, ids = _DualRows(g), m.ids
-    if not rows.walk(m, lefts):
+    bad, ids = _dual_rows(g), m.ids
+    if not _dual_walk(m, bad, lefts):
         return None
     witnesses = []
     for left in lefts:
-        kl, kr, condition, tested = _dual_base(m, rows, left)
+        kl, kr, condition, tested = _dual_base(m, bad, left)
         pairs = ((x, y) for x in _bits(tested & left) for y in _bits(tested & ~left))
         checked = tuple((ids[x], ids[y]) for x, y in pairs if (x, y) != (kl, kr))
         witnesses.append(DualCutWitness(m.cut(left), ids[kl], ids[kr], condition, checked))
@@ -361,7 +347,7 @@ def classify(g: FactGraph, max_cut_vertices: int = _CUT_CAP) -> Verdict:
     if n > max_cut_vertices:
         return Verdict("Unknown", reason="cap-exceeded")
     lefts = m.lefts(max_cut_vertices)
-    if _DualRows(g).walk(m, lefts):
+    if _dual_walk(m, _dual_rows(g), lefts):
         return Verdict("Prime", certificate="DualNeighborhood")
     # The graph is connected, so an arrow crosses every cut.
     return Verdict("Unknown", report=_CutReport(g, lefts, _report_rows(g)))

@@ -95,12 +95,13 @@ def kr_pair_relation(d: DynkinA, f: KRFactor, g: KRFactor) -> PairRelation:
 
     ReducibleHLW(m) means the product in this order is reducible and
     highest-weight-ordered with positive exponent m; ReducibleOpposite
-    means the opposite order is.  Cross-coset pairs are always simple.
+    means the opposite order is.  Cross-coset pairs of valid colors are
+    always simple.
     """
-    if f.coset != g.coset:
-        return SIMPLE
     d.check_node(f.color)
     d.check_node(g.color)
+    if f.coset != g.coset:
+        return SIMPLE
     delta = f.center - g.center
     if reducible(abs(delta), f.color, g.color, f.length, g.length, 1, d.n):
         kind = "ReducibleHLW" if delta > 0 else "ReducibleOpposite"
@@ -111,7 +112,8 @@ def kr_pair_relation(d: DynkinA, f: KRFactor, g: KRFactor) -> PairRelation:
 def kr_dual_pair_simple(d: DynkinA, f: KRFactor, g: KRFactor) -> bool:
     """True iff the product of f with the right dual of g is simple.
 
-    The right dual of (j, c, s) is (star(j), c - h_vee, s).
+    The right dual of (j, c, s) is (star(j), c - h_vee, s), in g's coset.
     """
-    gdual = KRFactor(d.star(g.color), g.center - d.dual_coxeter(), g.length, g.coset)
-    return kr_pair_relation(d, f, gdual).kind == "Simple"
+    d.check_node(f.color)
+    j, gap = d.star(g.color), abs(f.center - (g.center - d.dual_coxeter()))
+    return f.coset != g.coset or not reducible(gap, f.color, j, f.length, g.length, 1, d.n)

@@ -262,6 +262,39 @@ def test_dual_certificate_builds_witnesses_once_every_cut_passes(monkeypatch):
     assert cert == oracles.dual_neighborhood_certificate(prime)
 
 
+def test_dual_rows_hold_the_kernel_off_the_diagonal():
+    # Bit y of row x is set iff x times the right dual of y is not simple;
+    # the kernel is not symmetric, and a vertex against its own dual is never
+    # simple, yet the diagonal stays clear.
+    poly = "2:0:2 2:9:1 2:10:2 2:16:2 3:4:1 3:4:1 4:9:1 4:13:1 5:0:1"
+    g = build_graph(q_factorize(parse_poly(poly, A5)))
+    factors = [g.vertices[v] for v in g.masks.ids]
+    bad = primality._dual_rows(g)
+    asymmetric = 0
+    for x, fx in enumerate(factors):
+        for y, fy in enumerate(factors):
+            assert bad[x] >> y & 1 == (x != y and not kr_dual_pair_simple(A5, fx, fy))
+            asymmetric += bad[x] >> y & 1 != bad[y] >> x & 1
+    assert asymmetric and not any(kr_dual_pair_simple(A5, f, f) for f in factors)
+
+
+def test_dual_rows_are_built_after_the_cap_check(monkeypatch, two_source_graph):
+    # Past the cap neither caller makes a dual test; under it, the rows make
+    # one test per ordered pair of distinct vertices.
+    calls = []
+    kernel = primality.kr_dual_pair_simple
+    monkeypatch.setattr(
+        primality, "kr_dual_pair_simple", lambda d, f, g: calls.append((f, g)) or kernel(d, f, g)
+    )
+    assert classify(two_source_graph, max_cut_vertices=2).reason == "cap-exceeded"
+    with pytest.raises(TooManyVertices):
+        dual_neighborhood_certificate(two_source_graph, max_cut_vertices=2)
+    assert calls == []
+    assert dual_neighborhood_certificate(two_source_graph) is None
+    n = len(two_source_graph.vertices)
+    assert len(calls) == len(set(calls)) == n * (n - 1)
+
+
 def test_dual_certificate_two_source_none(two_source_graph):
     assert dual_neighborhood_certificate(two_source_graph) is None
 
@@ -435,6 +468,19 @@ def test_alternating_line_check_false_both_ways():
     assert is_line(line) and not alternating_line_check(line)
     assert is_totally_ordered(ordered) and not is_line(ordered)
     assert not alternating_line_check(ordered)
+
+
+def test_alternating_line_check_false_off_a_line():
+    # Totally ordered (0 -> 1 -> 2 -> 3 and the skip 0 -> 3), and every arrow
+    # joins two colors, the odd skip included: only the line test says False.
+    g = FactGraph(
+        A2,
+        {0: KRFactor(1, 9, 1), 1: KRFactor(2, 6, 1), 2: KRFactor(1, 3, 1), 3: KRFactor(2, 0, 1)},
+        [(0, 1, 3), (1, 2, 3), (2, 3, 3), (0, 3, 9)],
+    )
+    assert is_totally_ordered(g) and not is_line(g)
+    assert all(g.vertices[a.tail].color != g.vertices[a.head].color for a in g.arrows)
+    assert not alternating_line_check(g)
 
 
 def test_alternating_line_check_preconditions(two_source_graph, triangle1_graph):

@@ -130,6 +130,15 @@ def test_kr_pair_relation_cross_coset_is_simple():
     assert kr_pair_relation(A2, KRFactor(1, 3, 1), KRFactor(2, 0, 1, coset=1)).kind == "Simple"
 
 
+def test_kr_pair_relation_checks_colors_across_cosets():
+    # A color outside A_2 is refused whether or not the cosets agree.
+    for coset in (0, 1):
+        with pytest.raises(InvalidNode):
+            kr_pair_relation(A2, KRFactor(7, 0, 1), KRFactor(1, 0, 1, coset=coset))
+        with pytest.raises(InvalidNode):
+            kr_pair_relation(A2, KRFactor(1, 0, 1, coset=coset), KRFactor(7, 0, 1))
+
+
 def test_kr_pair_relation_antisymmetry():
     rng = random.Random(5)
     for _ in range(200):
@@ -156,6 +165,14 @@ def test_kr_dual_pair_simple_close_pair():
     # dual of (3, 0, 1) in A_3 is (1, -4, 1); the gap 4 still misses the
     # same-color set {2} for weight-one strings at a boundary node
     assert kr_dual_pair_simple(A3, KRFactor(1, 0, 1), KRFactor(3, 0, 1)) is True
+
+
+def test_kr_dual_pair_simple_checks_colors_across_cosets():
+    for coset in (0, 1):
+        with pytest.raises(InvalidNode):
+            kr_dual_pair_simple(A2, KRFactor(7, 0, 1), KRFactor(1, 0, 1, coset=coset))
+        with pytest.raises(InvalidNode):
+            kr_dual_pair_simple(A2, KRFactor(1, 0, 1, coset=coset), KRFactor(7, 0, 1))
 
 
 def test_kr_dual_pair_factor_with_own_dual_is_reducible():
