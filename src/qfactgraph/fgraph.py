@@ -59,7 +59,7 @@ __all__ = [
 ]
 
 
-_CUT_CAP = 20  # the most vertices whose 2^(n-1) - 1 cuts are walked by default
+_CUT_CAP = 20  # the most vertices whose 2^(n-1) - 1 cuts are walked
 
 
 class Arrow(NamedTuple):
@@ -116,7 +116,6 @@ class FactGraph:
 class Cut:
     left: frozenset[int]
     right: frozenset[int]
-    crossing: tuple[Arrow, ...]
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -166,39 +165,35 @@ class BitMasks:
         self._arrows = g.arrows
 
     @cached_property
-    def arrow_bits(self) -> tuple[tuple[Arrow, int, int], ...]:
-        """Every arrow of g.arrows, in order, with its tail and head bits;
+    def arrow_bits(self) -> tuple[tuple[int, int], ...]:
+        """The (tail bit, head bit) of every arrow of g.arrows, in order;
         built on first use, since only the cut stage reads it."""
-        return tuple((a, self.index[a.tail], self.index[a.head]) for a in self._arrows)
+        return tuple((self.index[a.tail], self.index[a.head]) for a in self._arrows)
 
     def members(self, mask: int) -> tuple[int, ...]:
         """The vertex ids of the bits of mask, ascending."""
         return tuple(self.ids[k] for k in _bits(mask))
 
-    def lefts(self, max_vertices: int) -> range:
+    def lefts(self) -> range:
         """The left sides of the cuts, in the order cuts() yields them: the
         first vertex is always on the left, and the other bits count up."""
         n = len(self.ids)
-        if n > max_vertices:
-            raise TooManyVertices(
-                f"{n} vertices exceed the cut cap {max_vertices}; raise max_vertices to override"
-            )
+        if n > _CUT_CAP:
+            raise TooManyVertices(f"{n} vertices exceed the cut cap {_CUT_CAP}")
         return range(1, self.full, 2)
 
     def cut(self, left: int) -> Cut:
         """The cut whose left side is the mask left."""
-        members = frozenset(v for k, v in enumerate(self.ids) if left >> k & 1)
-        crossing = tuple(a for a, t, h in self.arrow_bits if left >> t & 1 != left >> h & 1)
-        return Cut(members, frozenset(self.ids) - members, crossing)
+        return Cut(frozenset(self.members(left)), frozenset(self.members(self.full ^ left)))
 
 
 def _forced_arrows(rank: DynkinA, items: Sequence[tuple[int, KRFactor]]) -> list[Arrow]:
     """The arrow of every ordered pair of (id, factor) items whose tensor
     product is reducible and highest-weight-ordered: same coset, positive
     center gap, gap in the pair's reducibility set.  Every member of that
-    set is at most r + s + n - 1 (b - a + 2 min(a - 1, n - b) <= n - 1), so
-    only pairs in window_pairs' window len_a + max_len + n - 1 are tested.
-    Arrows come in (tail, head) id order; colors must lie in the diagram."""
+    set is at most r + s + n - 1, so window_pairs with slack n - 1 yields
+    every such pair, upper factor first.  Arrows come in (tail, head) id
+    order; colors must lie in the diagram."""
     n = rank.n
     factors = [f for _, f in items]
     arrows = []
@@ -482,10 +477,10 @@ def is_monotonic_line(g: FactGraph) -> bool:
     )
 
 
-def cuts(g: FactGraph, max_vertices: int = _CUT_CAP) -> Iterator[Cut]:
-    """All unordered nontrivial bipartitions with their crossing arrows."""
+def cuts(g: FactGraph) -> Iterator[Cut]:
+    """All unordered nontrivial bipartitions of the vertices."""
     masks = g.masks
-    return map(masks.cut, masks.lefts(max_vertices))
+    return map(masks.cut, masks.lefts())
 
 
 def arrow_dual(g: FactGraph) -> FactGraph:

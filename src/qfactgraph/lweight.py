@@ -104,32 +104,37 @@ def roots_of(f: KRFactor) -> tuple[int, ...]:
 def window_pairs(
     factors: Sequence[KRFactor], group: Callable[[KRFactor], Hashable], slack: int
 ) -> Iterator[tuple[int, int]]:
-    """Every unordered pair of same-group factors whose center gap is at
-    most len_k + max_len + slack, once, as indices (k, l) with
-    factors[k].center >= factors[l].center.  A type A_n reducibility set
-    ends at r + s + n - 1 (reducibility_bounds: b - a + 2 min(a - 1, n - b)
-    <= (b - a) + (a - 1) + (n - b)), and at r + s on one node, so slack
-    n - 1, or 0, keeps every reducible pair.  The factors are sorted by
-    (group, center) and each scans down until its group or window ends:
-    the cost is the sort plus the pairs in the window."""
-    reach = max((f.length for f in factors), default=0) + slack
-    keyed = sorted((group(f), f.center, k) for k, f in enumerate(factors))
-    for pos, (key, center, k) in enumerate(keyed):
-        floor = center - factors[k].length - reach
-        for low in range(pos - 1, -1, -1):
-            low_key, low_center, l = keyed[low]
-            if low_key != key or low_center < floor:
-                break
-            yield k, l
+    """Every same-group pair that can be reducible, once, as indices (k, l)
+    with k the candidate upper factor.  With lo = center - length + 1 and
+    hi = center + length - 1, k above l (lengths r, s, colors d apart, gap
+    gap) has lo_k - lo_l = gap - r + s and hi_k - hi_l = gap + r - s, both at
+    least 2 when gap >= |r - s| + d + 2, and lo_k - hi_l = gap - r - s + 2 <=
+    slack + 2, as the set ends by r + s + slack: slack n - 1 on A_n
+    (b - a + 2 min(a - 1, n - b) <= n - 1), 0 on one node.  So lo_k lies in
+    [lo_l + 2, hi_l + slack + 2], l is never reducible above k, and a yielded
+    pair with a negative gap is refused by reducible.  Sorted by (group, lo),
+    each l moves a forward-only start pointer past lo_l + 2 and stops past
+    hi_l + slack + 2: the cost is the sort plus the pairs in the windows."""
+    keyed = sorted((group(f), f.center - f.length + 1, k) for k, f in enumerate(factors))
+    size, start = len(keyed), 0
+    for key, lo, l in keyed:
+        floor = (key, lo + 2)
+        while start < size and keyed[start] < floor:
+            start += 1
+        ceiling = (key, lo + 2 * factors[l].length + slack + 1)  # past hi_l + slack + 2
+        upper = start
+        while upper < size and keyed[upper] < ceiling:
+            yield keyed[upper][2], l
+            upper += 1
 
 
 def interacting_pairs(factors: Sequence[KRFactor]) -> list[tuple[int, int]]:
     """Index pairs k < l of same-color, same-coset factors whose strings
     interact: their center gap lies in the single-node reducibility set
     {r + s - 2p : 0 <= p < min(r, s)}, i.e. the strings overlap without
-    nesting or abut with a gap of one step.  Every member is at most
-    r + s, so only pairs in window_pairs' window len_k + max_len are
-    tested.  Pairs come in lexicographic order."""
+    nesting or abut with a gap of one step.  That set ends at r + s, so
+    window_pairs with slack 0 yields every such pair.  Pairs come in
+    lexicographic order."""
     pairs = []
     for k, l in window_pairs(factors, attrgetter("color", "coset"), 0):
         a, b = factors[k], factors[l]

@@ -129,7 +129,7 @@ def _witness_lanes(g: FactGraph, xs: list[int], ones: int, lane: int) -> int:
     left, right = [], []
     for side, passing in ((xs, left), ([ones ^ x for x in xs], right)):
         heads, tails = [0] * n, [0] * n  # lanes where k has an in- or out-neighbour in side
-        for _, t, h in m.arrow_bits:
+        for t, h in m.arrow_bits:
             heads[h] |= side[t]
             tails[t] |= side[h]
         passing += [s & ~(i & o if b else i | o) for s, i, o, b in zip(side, heads, tails, inner)]
@@ -190,7 +190,7 @@ def cut_reducible_extremal(g: FactGraph, cut: Cut) -> CutWitness | None:
 
 def cut_arrowless_simple(g: FactGraph, cut: Cut) -> bool:
     """True iff no arrow of the graph crosses the cut; the cut then factors
-    the module.  The cut's own crossing field is not trusted."""
+    the module."""
     return _arrowless(g.masks, _left_mask(g, cut))
 
 
@@ -234,9 +234,7 @@ def _dual_walk(m: BitMasks, bad: list[int], lefts: range) -> bool:
     return all(_dual_base(m, bad, left) for left in lefts)
 
 
-def dual_neighborhood_certificate(
-    g: FactGraph, max_cut_vertices: int = _CUT_CAP
-) -> DualCertificate | None:
+def dual_neighborhood_certificate(g: FactGraph) -> DualCertificate | None:
     """Try to certify primality by exhibiting, for every cut, a base pair
     joined by an arrow whose punctured neighborhood products are all
     simple against the appropriate duals.  Returns None if one cut admits
@@ -247,7 +245,7 @@ def dual_neighborhood_certificate(
     if not g.vertices:
         return None
     m = g.masks
-    lefts = m.lefts(max_cut_vertices)
+    lefts = m.lefts()
     bad, ids = _dual_rows(g), m.ids
     if not _dual_walk(m, bad, lefts):
         return None
@@ -313,12 +311,12 @@ def classify_cut(g: FactGraph, cut: Cut) -> CutClass:
     return CutClass(cut, "Undetermined" if witness is None else "ReducibleByExtremal", witness)
 
 
-def classify(g: FactGraph, max_cut_vertices: int = _CUT_CAP) -> Verdict:
+def classify(g: FactGraph) -> Verdict:
     """Decide primality of the module attached to a q-factorization graph.
 
     Pipeline: graphs with zero or several components factor across them
     (NotPrime); one- and two-vertex connected graphs are prime; totally
-    ordered graphs are prime; graphs with more than max_cut_vertices
+    ordered graphs are prime; graphs with more than _CUT_CAP (20)
     vertices are Unknown with reason "cap-exceeded"; otherwise the
     dual-neighborhood certificate is attempted, and failing that the
     verdict is Unknown with every cut classified by the extremal-pair test.
@@ -344,9 +342,9 @@ def classify(g: FactGraph, max_cut_vertices: int = _CUT_CAP) -> Verdict:
         # allows one arrow per pair, so the graph is that line iff n - 1 arrows.
         cert = "TotallyOrderedLine" if len(g.arrows) == n - 1 else "TotallyOrdered"
         return Verdict("Prime", certificate=cert)
-    if n > max_cut_vertices:
+    if n > _CUT_CAP:
         return Verdict("Unknown", reason="cap-exceeded")
-    lefts = m.lefts(max_cut_vertices)
+    lefts = m.lefts()
     if _dual_walk(m, _dual_rows(g), lefts):
         return Verdict("Prime", certificate="DualNeighborhood")
     # The graph is connected, so an arrow crosses every cut.

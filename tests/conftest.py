@@ -24,6 +24,23 @@ A5 = DynkinA(5)
 A8 = DynkinA(8)
 
 
+# 21 vertices, connected and not totally ordered: one past the cut cap of
+# 20, as (rank, polynomial).
+PAST_CAP = (
+    5,
+    "1:-13:1 1:6:2 1:6:2 2:-11:2 2:-2:1 2:6:1 2:10:1 2:10:1 2:11:2 2:16:1 "
+    "2:17:2 3:-5:1 3:16:2 4:-4:1 4:-3:2 4:11:2 4:11:2 5:-7:1 5:0:2 5:1:1 5:15:1",
+)
+
+
+@pytest.fixture
+def past_cap_graph():
+    rank, text = PAST_CAP
+    g = build_graph(q_factorize(parse_poly(text, DynkinA(rank))))
+    assert len(g.vertices) == 21
+    return g
+
+
 @pytest.fixture
 def two_source_poly():
     return parse_poly("2:0:2 1:3:2 1:4:1", A2)

@@ -26,7 +26,10 @@ test here goes through the closed forms below.
 - The cut stage, ``cuts`` through ``classify``: the set-based version the
   bitmask cut engine replaced.  Every cut builds both sides as subgraphs
   and walks them.  Its ``cut_reducible_extremal``, one cut at a time, is
-  also the reference for the bit-sliced report rows.
+  also the reference for the bit-sliced report rows.  Edited when ``Cut``
+  lost its crossing arrows: ``cuts`` builds the two sides only, and
+  ``cut_arrowless_simple``, which used to read the cut's crossing field,
+  reads ``g.arrows``.
 - ``q_factorize``: ``q_factorize`` and ``_longest_run``, the
   root-expanding run peeling the endpoint sweep replaced.  Every root of
   every string goes into a multiset, and the longest step-2 run is peeled
@@ -303,7 +306,7 @@ def validate(g: FactGraph, level: str = "qfact") -> ValidationReport:
 
 
 def cuts(g: FactGraph, max_vertices: int = 20) -> Iterator[Cut]:
-    """All unordered nontrivial bipartitions with their crossing arrows."""
+    """All unordered nontrivial bipartitions of the vertices."""
     ids = g.ids()
     n = len(ids)
     if n > max_vertices:
@@ -321,12 +324,7 @@ def cuts(g: FactGraph, max_vertices: int = 20) -> Iterator[Cut]:
                 if mask >> bit & 1:
                     left.add(v)
             right = frozenset(ids) - left
-            crossing = tuple(
-                a
-                for a in g.arrows
-                if (a.tail in left) != (a.head in left)
-            )
-            yield Cut(frozenset(left), right, crossing)
+            yield Cut(frozenset(left), right)
 
     return generate()
 
@@ -374,7 +372,7 @@ def cut_reducible_extremal(g: FactGraph, cut: Cut) -> CutWitness | None:
 
 def cut_arrowless_simple(g: FactGraph, cut: Cut) -> bool:
     """True iff no arrow crosses the cut; the cut then factors the module."""
-    return not cut.crossing
+    return not any((a.tail in cut.left) != (a.head in cut.left) for a in g.arrows)
 
 
 def _dual_cut_witness(g: FactGraph, cut: Cut) -> DualCutWitness | None:

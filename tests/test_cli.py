@@ -30,7 +30,7 @@ from qfactgraph import (
 )
 from qfactgraph.cli import _dumps, _write_family, _write_list, run
 
-from conftest import UNKNOWN, unknown_verdict
+from conftest import PAST_CAP, UNKNOWN, unknown_verdict
 
 
 def invoke(*argv, stdin_text: str | None = None):
@@ -143,12 +143,8 @@ def test_verdict_dual_neighborhood():
 
 
 def test_verdict_cap_exceeded():
-    # 21 vertices, connected and not totally ordered: one past the cut cap.
-    poly = (
-        "1:-13:1 1:6:2 1:6:2 2:-11:2 2:-2:1 2:6:1 2:10:1 2:10:1 2:11:2 2:16:1 "
-        "2:17:2 3:-5:1 3:16:2 4:-4:1 4:-3:2 4:11:2 4:11:2 5:-7:1 5:0:2 5:1:1 5:15:1"
-    )
-    code, text = invoke("verdict", "--rank", "5", poly)
+    rank, poly = PAST_CAP
+    code, text = invoke("verdict", "--rank", str(rank), poly)
     assert code == 2
     assert text == '{"outcome": "Unknown", "reason": "cap-exceeded"}\n'
 

@@ -247,11 +247,12 @@ def test_cut_counts():
 
 
 def test_cut_cap():
-    g = build_graph(
-        DrinfeldPoly(A5, tuple(KRFactor(1, 20 * k, 1) for k in range(5)))
-    )
-    with pytest.raises(TooManyVertices):
-        list(cuts(g, max_vertices=4))
+    # The cap is 20 vertices: 21 are refused, and 20 walk all 2^19 - 1 cuts.
+    g = build_graph(DrinfeldPoly(A5, tuple(KRFactor(1, 20 * k, 1) for k in range(21))))
+    with pytest.raises(TooManyVertices, match="21 vertices exceed the cut cap 20"):
+        list(cuts(g))
+    g = build_graph(DrinfeldPoly(A5, tuple(KRFactor(1, 20 * k, 1) for k in range(20))))
+    assert len(g.masks.lefts()) == 2**19 - 1
 
 
 def test_arrow_dual_involution(snake_graph):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from itertools import combinations
+from operator import attrgetter
 
 import pytest
 
@@ -28,6 +29,7 @@ from qfactgraph import (
     support,
     weight,
 )
+from qfactgraph.lweight import window_pairs
 
 from conftest import A2, A3, A5
 
@@ -108,6 +110,18 @@ def test_q_factorize_matches_unique_clear_decomposition():
         poly = DrinfeldPoly(A5, tuple(KRFactor(1, m, 1) for m in roots))
         got = sorted((f.center, f.length) for f in q_factorize(poly).factors)
         assert got == sorted(clear[0]), roots
+
+
+def test_window_pairs_skip_twins_and_one_long_string():
+    # No pair of 2,000 copies of one factor (rank 3, slack 2), nor of 2,000
+    # spaced strings beside one long one (rank 1, slack 0), can be reducible,
+    # so neither grouping tests one.  A window bounded by the center gap and
+    # the longest string tested about k^2 / 2 pairs of each.
+    twins = [KRFactor(2, 0, 1)] * 2000
+    spaced = [KRFactor(1, 4 * i, 1) for i in range(2000)] + [KRFactor(1, -5_000_000, 1_000_000)]
+    for factors, slack in ((twins, 2), (spaced, 0)):
+        for group in (attrgetter("coset"), attrgetter("color", "coset")):
+            assert next(window_pairs(factors, group, slack), None) is None
 
 
 def test_is_q_factorization_examples():

@@ -624,6 +624,68 @@ def test_window_soup_reaches_the_window_edges():
         assert seen[f"{name} True"] >= 5 and seen[f"{name} False"] >= 5, seen
 
 
+def lowest_root_soup(rng: random.Random) -> tuple[DynkinA, tuple[KRFactor, ...]]:
+    """8-30 short factors over A_1-A_6, of lengths 1-5 and cosets 0-1, the
+    inputs that decide window_pairs' lowest-root window.  Half the soups
+    also hold one string of length 50-500.  After the first, a factor is
+    mostly placed against an earlier one: a block of 2-5 twins of it, a
+    near-twin (its lowest root, another length), or a factor at a center
+    gap within two steps of the pair's lower bound |r - s| + d + 2 or of
+    its upper bound r + s + n - 1, on either side."""
+    d = DynkinA(rng.randint(1, 6))
+    n = d.n
+    factors: list[KRFactor] = []
+    if rng.randrange(2):
+        factors.append(KRFactor(rng.randint(1, n), rng.randint(-40, 40), rng.randint(50, 500)))
+    for _ in range(rng.randint(8, 30)):
+        color, length, coset = rng.randint(1, n), rng.randint(1, 5), rng.randint(0, 1)
+        if not factors or rng.randrange(6) == 0:
+            factors.append(KRFactor(color, rng.randint(-30, 30), length, coset))
+            continue
+        base = rng.choice(factors)
+        mode = rng.randrange(4)
+        if mode == 0:
+            factors += [base] * rng.randint(1, 4)
+            continue
+        if mode == 1:
+            lowest = base.center - base.length + 1
+            factors.append(KRFactor(color, lowest + length - 1, length, base.coset))
+            continue
+        r, s, dist = base.length, length, abs(base.color - color)
+        edge = abs(r - s) + dist + 2 if mode == 2 else r + s + n - 1
+        center = base.center + rng.choice((-1, 1)) * (edge + rng.randint(-2, 2))
+        factors.append(KRFactor(color, center, length, base.coset if rng.randrange(4) else coset))
+    return d, tuple(factors)
+
+
+@settings(max_examples=500, **COMMON)
+@given(st.integers(0, 2**32 - 1))
+def test_lowest_root_window_matches_oracle(seed):
+    d, factors = lowest_root_soup(random.Random(seed))
+    items = list(enumerate(factors))
+    assert tuple(_forced_arrows(d, items)) == oracles._graph_from_factors(d, factors).arrows
+    assert interacting_pairs(factors) == all_interacting_pairs(factors)
+
+
+def test_lowest_root_soup_reaches_twins_long_strings_and_the_lower_edge():
+    # Guards the differential test above against vacuity: its inputs hold
+    # twin blocks, a long string, and reducible pairs at gap exactly
+    # |r - s| + d + 2, the lower edge that starts the window.
+    rng = random.Random(7)
+    seen = Counter()
+    for _ in range(100):
+        d, factors = lowest_root_soup(rng)
+        seen["twin block"] += len(set(factors)) < len(factors)
+        seen["long string"] += max(f.length for f in factors) >= 50
+        for a in oracles._graph_from_factors(d, factors).arrows:
+            fa, fb = factors[a.tail], factors[a.head]
+            lower = abs(fa.length - fb.length) + abs(fa.color - fb.color) + 2
+            seen["lower edge"] += a.exp == lower
+            seen["long lower edge"] += a.exp == lower and max(fa.length, fb.length) >= 50
+    assert seen["twin block"] >= 30 and seen["long string"] >= 30, seen
+    assert seen["lower edge"] >= 100 and seen["long lower edge"] >= 10, seen
+
+
 def test_order_structure_on_cycles():
     # Hand-built graphs with oriented cycles: the 2-cycle, and a 3-cycle
     # under a source with a tail below it.  The order functions raise, and

@@ -83,14 +83,15 @@ def test_classify_two_source_unknown(two_source_graph):
     assert len(verdict.report) == 3
 
 
-def test_classify_cap_exceeded(two_source_graph):
+def test_classify_cap_exceeded(past_cap_graph):
     # Past the cut cap the verdict is an honest Unknown without a report;
-    # the certificate on its own still refuses the graph.
-    verdict = classify(two_source_graph, max_cut_vertices=2)
+    # the certificate on its own still refuses the graph.  A totally
+    # ordered graph past the cap is still Prime.
+    verdict = classify(past_cap_graph)
     assert verdict == Verdict("Unknown", reason="cap-exceeded")
     with pytest.raises(TooManyVertices):
-        dual_neighborhood_certificate(two_source_graph, max_cut_vertices=2)
-    ordered = classify(build_graph(tournament_family(4, 8)), max_cut_vertices=2)
+        dual_neighborhood_certificate(past_cap_graph)
+    ordered = classify(build_graph(tournament_family(21, 59)))
     assert (ordered.outcome, ordered.certificate) == ("Prime", "TotallyOrdered")
 
 
@@ -149,7 +150,7 @@ def test_extremal_witness_satisfies_conditions(triangle1_graph):
 
 
 def test_cut_reducible_extremal_rejects_bad_cut(triangle1_graph):
-    bad = Cut(frozenset({0}), frozenset({1}), ())
+    bad = Cut(frozenset({0}), frozenset({1}))
     with pytest.raises(InvalidCut):
         cut_reducible_extremal(triangle1_graph, bad)
 
@@ -157,25 +158,25 @@ def test_cut_reducible_extremal_rejects_bad_cut(triangle1_graph):
 def test_classify_cut_checks_the_cut_against_the_graph():
     # The rank-3 triangle with arrows 1->0, 2->0, 2->1: sides that miss a
     # vertex, share one, name a vertex the graph lacks or leave one side
-    # empty are refused, and a cut whose crossing field is forged empty is
-    # judged by the arrows that do cross it.
+    # empty are refused, and a caller's cut is judged by the graph's arrows
+    # that cross it.
     g = build_graph(DrinfeldPoly(A3, (KRFactor(1, 0, 3), KRFactor(2, 3, 3), KRFactor(3, 6, 3))))
     assert [(a.tail, a.head) for a in g.arrows] == [(1, 0), (2, 0), (2, 1)]
     split = "cut sides do not bipartition the vertex set"
     bad_cuts = {
-        Cut(frozenset({0}), frozenset({1}), ()): split,
-        Cut(frozenset({0, 1}), frozenset({1, 2}), ()): split,
-        Cut(frozenset({0, 7}), frozenset({1, 2}), ()): split,
-        Cut(frozenset({0, 1, 2}), frozenset(), ()): "cut sides must both be nonempty",
+        Cut(frozenset({0}), frozenset({1})): split,
+        Cut(frozenset({0, 1}), frozenset({1, 2})): split,
+        Cut(frozenset({0, 7}), frozenset({1, 2})): split,
+        Cut(frozenset({0, 1, 2}), frozenset()): "cut sides must both be nonempty",
     }
     for bad, message in bad_cuts.items():
         for check in (classify_cut, cut_reducible_extremal, cut_arrowless_simple):
             with pytest.raises(InvalidCut, match=message):
                 check(g, bad)
-    forged = Cut(frozenset({0}), frozenset({1, 2}), ())
-    assert not cut_arrowless_simple(g, forged)
-    assert classify_cut(g, forged).status != "ReducibleByArrowless"
-    assert classify_cut(g, forged).cut is forged
+    crossed = Cut(frozenset({0}), frozenset({1, 2}))
+    assert not cut_arrowless_simple(g, crossed)
+    assert classify_cut(g, crossed).status != "ReducibleByArrowless"
+    assert classify_cut(g, crossed).cut is crossed
 
 
 def test_each_cut_function_checks_its_cut_once(monkeypatch):
@@ -216,13 +217,13 @@ def test_arrowless_test_never_runs_the_lanes(monkeypatch, two_source_graph):
 
     monkeypatch.setattr(primality, "_witness_lanes", refuse)
     results = [cut_arrowless_simple(g, cut) for g, cut in all_cuts]
-    assert results == [not cut.crossing for _, cut in all_cuts]
+    assert results == [oracles.cut_arrowless_simple(g, cut) for g, cut in all_cuts]
     assert True in results and False in results
 
 
 def test_cut_arrowless(two_source_graph):
     split = build_graph(parse_poly("1:0:1 1:0:1@1", A2))
-    component_cut = next(c for c in cuts(split) if not c.crossing)
+    component_cut = next(c for c in cuts(split) if oracles.cut_arrowless_simple(split, c))
     assert cut_arrowless_simple(split, component_cut)
     assert all(not cut_arrowless_simple(two_source_graph, c) for c in cuts(two_source_graph))
     two = build_graph(parse_poly("1:3:2 2:0:2", A2))
@@ -278,7 +279,7 @@ def test_dual_rows_hold_the_kernel_off_the_diagonal():
     assert asymmetric and not any(kr_dual_pair_simple(A5, f, f) for f in factors)
 
 
-def test_dual_rows_are_built_after_the_cap_check(monkeypatch, two_source_graph):
+def test_dual_rows_are_built_after_the_cap_check(monkeypatch, past_cap_graph, two_source_graph):
     # Past the cap neither caller makes a dual test; under it, the rows make
     # one test per ordered pair of distinct vertices.
     calls = []
@@ -286,9 +287,9 @@ def test_dual_rows_are_built_after_the_cap_check(monkeypatch, two_source_graph):
     monkeypatch.setattr(
         primality, "kr_dual_pair_simple", lambda d, f, g: calls.append((f, g)) or kernel(d, f, g)
     )
-    assert classify(two_source_graph, max_cut_vertices=2).reason == "cap-exceeded"
+    assert classify(past_cap_graph).reason == "cap-exceeded"
     with pytest.raises(TooManyVertices):
-        dual_neighborhood_certificate(two_source_graph, max_cut_vertices=2)
+        dual_neighborhood_certificate(past_cap_graph)
     assert calls == []
     assert dual_neighborhood_certificate(two_source_graph) is None
     n = len(two_source_graph.vertices)
