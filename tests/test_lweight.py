@@ -115,8 +115,7 @@ def test_q_factorize_matches_unique_clear_decomposition():
 def test_window_pairs_skip_twins_and_one_long_string():
     # No pair of 2,000 copies of one factor (rank 3, slack 2), nor of 2,000
     # spaced strings beside one long one (rank 1, slack 0), can be reducible,
-    # so neither grouping tests one.  A window bounded by the center gap and
-    # the longest string tested about k^2 / 2 pairs of each.
+    # so neither grouping tests one.
     twins = [KRFactor(2, 0, 1)] * 2000
     spaced = [KRFactor(1, 4 * i, 1) for i in range(2000)] + [KRFactor(1, -5_000_000, 1_000_000)]
     for factors, slack in ((twins, 2), (spaced, 0)):
