@@ -11,7 +11,8 @@ import argparse
 import json
 import os
 import sys
-from typing import IO, Callable, Sequence
+from itertools import islice
+from typing import IO, Callable, Iterator, Sequence
 
 from .dynkin import DynkinA
 from .errors import PolySyntaxError, QfgError
@@ -69,14 +70,12 @@ def _read_poly(args, stdin: IO[str]) -> DrinfeldPoly:
     return parse_poly(text, DynkinA(args.rank))
 
 
-def _write_list(out: IO[str], encode: Callable[..., str], *columns: Sequence) -> None:
-    """Write the JSON list of encode(*items) over the zipped columns, in
-    blocks of _CHUNK items, so memory stays bounded however long it is."""
-    out.write("[")
-    for start in range(0, len(columns[0]), _CHUNK):
-        if start:
-            out.write(", ")
-        out.write(", ".join(map(encode, *(c[start : start + _CHUNK] for c in columns))))
+def _write_list(out: IO[str], items: Iterator[str]) -> None:
+    """Write the JSON list of the encoded, nonempty items, _CHUNK per
+    write, so memory stays bounded however many there are."""
+    out.write("[" + ", ".join(islice(items, _CHUNK)))
+    while chunk := ", ".join(islice(items, _CHUNK)):
+        out.write(", " + chunk)
     out.write("]")
 
 
@@ -124,7 +123,7 @@ def _write_report(report: _CutReport, out: IO[str]) -> None:
             f'"status": {statuses[row]}}}'
         )
 
-    _write_list(out, entry, report.lefts, report.rows)
+    _write_list(out, map(entry, report.lefts, report.rows))
 
 
 def _write_verdict(v: Verdict, out: IO[str]) -> None:
@@ -199,9 +198,7 @@ def _cmd_rset(args, inp: IO[str], out: IO[str]) -> int:
         rs = rset_restricted(d, args.i, args.j, args.r, args.s, range(lo, hi + 1))
     else:
         rs = rset(d, args.i, args.j, args.r, args.s)
-    # Chunks straight from the range: memory stays constant however many
-    # members there are.
-    _write_list(out, str, rs.members)
+    _write_list(out, map(str, rs.members))
     out.write("\n")
     return 0
 

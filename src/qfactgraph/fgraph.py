@@ -190,14 +190,19 @@ class BitMasks:
 def _forced_arrows(rank: DynkinA, items: Sequence[tuple[int, KRFactor]]) -> list[Arrow]:
     """The arrow of every ordered pair of (id, factor) items whose tensor
     product is reducible and highest-weight-ordered: same coset, positive
-    center gap, gap in the pair's reducibility set.  Every member of that
-    set is at most r + s + n - 1, so window_pairs with slack n - 1 yields
-    every such pair, upper factor first.  Arrows come in (tail, head) id
-    order; colors must lie in the diagram."""
+    center gap, gap in the pair's reducibility set.  For colors a <= b
+    that set ends at r + s + min(a + b - 2, 2n - a - b), whose offset is
+    at most the mean n - 1, at most 2 max(colors) - 2 as a + b <= 2 max,
+    and at most 2n - 2 min(colors) as a + b >= 2 min; so window_pairs with
+    the least of the three as slack yields every such pair, upper factor
+    first.  Arrows come in (tail, head) id order; colors must lie in the
+    diagram."""
     n = rank.n
     factors = [f for _, f in items]
+    colors = {f.color for f in factors}
+    slack = min(n - 1, 2 * max(colors) - 2, 2 * n - 2 * min(colors)) if colors else 0
     arrows = []
-    for k, l in window_pairs(factors, attrgetter("coset"), n - 1):
+    for k, l in window_pairs(factors, attrgetter("coset"), slack):
         fa, fb = factors[k], factors[l]
         delta = fa.center - fb.center
         if reducible(delta, fa.color, fb.color, fa.length, fb.length, 1, n):

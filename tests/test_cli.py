@@ -290,8 +290,33 @@ def test_rset_output_is_json_dumps_of_the_members():
     assert code == 0 and text == json.dumps(list(expected)) + "\n"
     for values in (range(0), range(5, 3, 2), range(7, 8), range(-3, 2050, 2)):
         out = StringIO()
-        _write_list(out, str, values)
+        _write_list(out, map(str, values))
         assert out.getvalue() == json.dumps(list(values))
+
+
+class _Stop(Exception):
+    pass
+
+
+class _OneWrite:
+    """A sink that keeps its first write and raises _Stop on the next."""
+
+    def __init__(self) -> None:
+        self.text = None
+
+    def write(self, text: str) -> int:
+        if self.text is not None:
+            raise _Stop
+        self.text = text
+        return len(text)
+
+
+def test_write_list_takes_an_iterator_of_any_length():
+    # 10^19 members: too many for len(), so the writer must not ask.
+    sink = _OneWrite()
+    with pytest.raises(_Stop):
+        _write_list(sink, (str(x) for x in range(2, 2 * 10**19 + 1, 2)))
+    assert sink.text == "[" + ", ".join(str(x) for x in range(2, 2050, 2))
 
 
 class _Discard:
@@ -362,25 +387,40 @@ def test_verdict_report_is_streamed():
     assert code == 2 and peak < 1024 * 1024
 
 
-def test_closed_stdout_exits_74_without_traceback():
-    # The reader stops after 100 of 467,264 bytes, more than a pipe holds.
-    rank, text = UNKNOWN[13]
+def _close_after_100_bytes(*argv: str) -> tuple[bytes, int, str]:
+    """Run the CLI apart, read 100 bytes of its stdout and close it; return
+    those bytes, the exit code and stderr."""
     src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.Popen(
-        [sys.executable, "-m", "qfactgraph.cli", "verdict", "--rank", str(rank), text],
+        [sys.executable, "-m", "qfactgraph.cli", *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env={**os.environ, "PYTHONPATH": str(src)},
     )
     try:
-        assert len(proc.stdout.read(100)) == 100
+        head = proc.stdout.read(100)
         proc.stdout.close()
         err = proc.stderr.read().decode()
-        assert proc.wait(timeout=60) == 74
+        return head, proc.wait(timeout=60), err
     finally:
         proc.kill()
         proc.wait()
         proc.stderr.close()
+
+
+def test_closed_stdout_exits_74_without_traceback():
+    # The reader stops after 100 of 467,264 bytes, more than a pipe holds.
+    rank, text = UNKNOWN[13]
+    head, code, err = _close_after_100_bytes("verdict", "--rank", str(rank), text)
+    assert len(head) == 100 and code == 74
+    assert "Traceback" not in err and err.startswith("qfactgraph: error:")
+
+
+def test_rset_of_any_size_streams_until_stdout_closes():
+    # The set {2, 4, ..., 2 * 10^19} has 10^19 members, too many for len().
+    big = str(10**19)
+    head, code, err = _close_after_100_bytes("rset", "1", "1", big, big, "--rank", "1")
+    assert head.startswith(b"[2, 4, 6") and len(head) == 100 and code == 74
     assert "Traceback" not in err and err.startswith("qfactgraph: error:")
 
 

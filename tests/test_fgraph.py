@@ -3,10 +3,12 @@ from __future__ import annotations
 import pytest
 
 import oracles
+from qfactgraph import fgraph
 from qfactgraph import (
     Arrow,
     CyclicGraph,
     DrinfeldPoly,
+    DynkinA,
     FactGraph,
     InvalidVertex,
     KRFactor,
@@ -253,6 +255,23 @@ def test_cut_cap():
         list(cuts(g))
     g = build_graph(DrinfeldPoly(A5, tuple(KRFactor(1, 20 * k, 1) for k in range(20))))
     assert len(g.masks.lefts()) == 2**19 - 1
+
+
+def test_forced_arrows_take_the_slack_from_the_colors_present(monkeypatch):
+    # 2,000 color-1 factors 10 apart on A_10^6: a color-1 set ends at
+    # r + s, so no pair can be reducible.  A window of slack n - 1 covers
+    # every later factor, 1,999,000 pairs; slack 2 * 1 - 2 = 0 tests none.
+    window_pairs, yielded = fgraph.window_pairs, []
+
+    def counting(*args):
+        for pair in window_pairs(*args):
+            yielded.append(pair)
+            yield pair
+
+    monkeypatch.setattr(fgraph, "window_pairs", counting)
+    items = [(k, KRFactor(1, 10 * k, 1)) for k in range(2000)]
+    assert fgraph._forced_arrows(DynkinA(10**6), items) == []
+    assert yielded == []
 
 
 def test_arrow_dual_involution(snake_graph):
