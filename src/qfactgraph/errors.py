@@ -34,7 +34,7 @@ class CyclicGraph(QfgError):
 
 
 class TooManyVertices(QfgError):
-    """Cut enumeration refused to run above the configured vertex cap."""
+    """Cut enumeration refused to run above the fixed vertex cap fgraph._CUT_CAP."""
 
 
 class InvalidVertex(QfgError):

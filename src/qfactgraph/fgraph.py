@@ -15,15 +15,14 @@ from operator import attrgetter
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
-from .dynkin import DynkinA, reducible
+from .dynkin import DynkinA, reducibility_bounds, reducible
 from .errors import (
     CyclicGraph,
     InvalidVertex,
     RankMismatch,
     TooManyVertices,
 )
-from .lweight import DrinfeldPoly, KRFactor, interacting_pairs, q_factorize, window_pairs
-from .redsets import rset_restricted
+from .lweight import DrinfeldPoly, KRFactor, q_factorize, window_pairs
 
 __all__ = [
     "Arrow",
@@ -104,6 +103,11 @@ class FactGraph:
     def in_adj(self) -> Mapping[int, tuple[int, ...]]:
         """Read-only view of masks.inn: the tails of each vertex's arrows."""
         return MappingProxyType(dict(zip(self.masks.ids, map(self.masks.members, self.masks.inn))))
+
+    @cached_property
+    def _forced(self) -> tuple[Arrow, ...]:
+        """The arrows construction forces on these vertices; build_graph hands its own over."""
+        return tuple(_forced_arrows(self.rank, [(v, self.vertices[v]) for v in self.ids()]))
 
     @cached_property
     def masks(self) -> BitMasks:
@@ -212,7 +216,9 @@ def _forced_arrows(rank: DynkinA, items: Sequence[tuple[int, KRFactor]]) -> list
 
 def _graph_from_factors(rank: DynkinA, factors: tuple[KRFactor, ...]) -> FactGraph:
     items = tuple(enumerate(factors))
-    return FactGraph(rank, dict(items), tuple(_forced_arrows(rank, items)))
+    g = FactGraph(rank, dict(items), tuple(_forced_arrows(rank, items)))
+    object.__setattr__(g, "_forced", g.arrows)
+    return g
 
 
 def build_graph(p: DrinfeldPoly) -> FactGraph:
@@ -263,11 +269,12 @@ def validate(g: FactGraph, level: str = "qfact") -> ValidationReport:
     but the graph lacks is a missing-arrow, and every graph arrow that
     construction does not give is an unjustified-arrow (its exponent
     lies outside the pair's reducibility set).  qfact: no same-color,
-    same-coset pair interacts, by the predicate is_q_factorization
-    uses.  Centers within one coset share an anchor, so pairs are
-    compared across components too; deleting a bridge arrow cannot mask
-    a violation.  Levels are cumulative; failures are reported, never
-    raised.
+    same-coset pair interacts.  Past pseudo every arrow is forced, and a
+    same-color pair's single-node set shares its full set's first member
+    and parity but ends earlier, at r + s, so every interacting pair is an
+    arrow whose exponent is at most that end; only the arrows are read.
+    Deleting a bridge arrow cannot mask a violation: pseudo reports it
+    missing.  Levels are cumulative; failures are reported, never raised.
     """
     if level not in _LEVELS:
         raise ValueError(f"level must be one of {_LEVELS}, got {level!r}")
@@ -312,9 +319,7 @@ def validate(g: FactGraph, level: str = "qfact") -> ValidationReport:
 
     # With the prefact invariants in place, an arrow is fixed by its pair,
     # so comparing (tail, head, exp) triples is the pairwise check.
-    ids = g.ids()
-    forced = _forced_arrows(g.rank, [(v, g.vertices[v]) for v in ids])
-    for a in forced:
+    for a in g._forced:
         if (a.tail, a.head) not in g.arrow_map:
             fails.append(
                 ValidationFailure(
@@ -323,7 +328,7 @@ def validate(g: FactGraph, level: str = "qfact") -> ValidationReport:
                     f"center gap {a.exp} forces an arrow from {a.tail} to {a.head}",
                 )
             )
-    forced_set = set(forced)
+    forced_set = set(g._forced)
     for a in g.arrows:
         if a not in forced_set:
             fails.append(
@@ -336,20 +341,19 @@ def validate(g: FactGraph, level: str = "qfact") -> ValidationReport:
     if fails or level == "pseudo":
         return ValidationReport(level, tuple(fails))
 
-    for k, l in interacting_pairs([g.vertices[v] for v in ids]):
-        u, w = ids[k], ids[l]
+    for u, w, gap in sorted((min(a.tail, a.head), max(a.tail, a.head), a.exp) for a in g.arrows):
         vu, vw = g.vertices[u], g.vertices[w]
         c = vu.color
-        rs = rset_restricted(g.rank, c, c, vu.length, vw.length, [c])
-        fails.append(
-            ValidationFailure(
-                "qfact-violation",
-                (u, w),
-                f"|{vu.center - vw.center}| = {abs(vu.center - vw.center)} lies in the "
-                f"same-color reducibility set from {rs.lo} to {rs.hi} in steps of 2 "
-                f"for color {c}",
+        lo, hi = reducibility_bounds(c, c, vu.length, vw.length, c, c)
+        if vw.color == c and gap <= hi:
+            fails.append(
+                ValidationFailure(
+                    "qfact-violation",
+                    (u, w),
+                    f"|{vu.center - vw.center}| = {gap} lies in the same-color reducibility set "
+                    f"from {lo} to {hi} in steps of 2 for color {c}",
+                )
             )
-        )
     return ValidationReport(level, tuple(fails))
 
 

@@ -64,8 +64,7 @@ class KRFactor:
     coset: int = 0
 
     def __post_init__(self) -> None:
-        if not (type(self.color) is type(self.center) is type(self.coset) is int):
-            raise TypeError(f"color, center and coset must be ints, got {self!r}")
+        check_ints("color, center and coset", self.color, self.center, self.coset)
         check_length(self.length)
 
     @property

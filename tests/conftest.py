@@ -4,6 +4,7 @@ import hypothesis.strategies as st
 import pytest
 
 import oracles
+from qfactgraph import fgraph, lweight
 from qfactgraph import (
     DrinfeldPoly,
     DynkinA,
@@ -31,6 +32,21 @@ PAST_CAP = (
     "1:-13:1 1:6:2 1:6:2 2:-11:2 2:-2:1 2:6:1 2:10:1 2:10:1 2:11:2 2:16:1 "
     "2:17:2 3:-5:1 3:16:2 4:-4:1 4:-3:2 4:11:2 4:11:2 5:-7:1 5:0:2 5:1:1 5:15:1",
 )
+
+
+@pytest.fixture
+def window_scans(monkeypatch):
+    """One entry per window_pairs scan: interacting_pairs reaches it through
+    lweight, and _forced_arrows through fgraph."""
+    scans, window_pairs = [], lweight.window_pairs
+
+    def counting(*args):
+        scans.append(args)
+        return window_pairs(*args)
+
+    monkeypatch.setattr(lweight, "window_pairs", counting)
+    monkeypatch.setattr(fgraph, "window_pairs", counting)
+    return scans
 
 
 @pytest.fixture

@@ -181,6 +181,14 @@ def test_verdict_builds_one_graph(monkeypatch, rank, text, outcome, graphs):
     assert len(built) == graphs
 
 
+def test_verdict_scans_each_pair_window_once(window_scans):
+    # q_factorize's self-check scans once and build_graph once; classify
+    # validates the built graph from the arrows build_graph handed over.
+    code, _ = invoke("verdict", "--rank", "8", "6:0:1 7:3:1 8:6:1 5:-3:1")
+    assert code == 0
+    assert len(window_scans) == 2
+
+
 def test_rset_command():
     code, text = invoke("rset", "3", "1", "3", "3", "--rank", "3")
     assert code == 0 and json.loads(text) == [4, 6, 8]

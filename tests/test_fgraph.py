@@ -124,6 +124,24 @@ def test_validate_pseudo_catches_unjustified_arrow():
     assert not report.ok and report.first.kind == "unjustified-arrow"
 
 
+def test_validate_of_a_built_graph_scans_no_window(window_scans):
+    for text in ("2:0:2 1:3:2 1:4:1", "1:0:1 1:2:1"):
+        g = build_graph(parse_poly(text, A2))
+        window_scans.clear()
+        for level in ("prefact", "pseudo", "qfact"):
+            validate(g, level)
+        assert window_scans == []
+
+
+def test_validate_of_a_hand_built_graph_scans_once(window_scans):
+    g = build_graph(parse_poly("1:0:1 1:2:1", A2))
+    copy = FactGraph(g.rank, dict(g.vertices), g.arrows)
+    window_scans.clear()
+    assert validate(copy, "qfact") == validate(g, "qfact")
+    assert not validate(copy, "qfact").ok
+    assert len(window_scans) == 1
+
+
 def test_to_polynomial_round_trip(two_source_poly, two_source_graph):
     assert to_polynomial(two_source_graph) == two_source_poly
     assert build_graph(to_polynomial(two_source_graph)) == two_source_graph
