@@ -11,18 +11,17 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
-from operator import attrgetter
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
-from .dynkin import DynkinA, reducibility_bounds, reducible
+from .dynkin import DynkinA, reducibility_bounds
 from .errors import (
     CyclicGraph,
     InvalidVertex,
     RankMismatch,
     TooManyVertices,
 )
-from .lweight import DrinfeldPoly, KRFactor, q_factorize, window_pairs
+from .lweight import DrinfeldPoly, KRFactor, forced_pairs, q_factorize
 
 __all__ = [
     "Arrow",
@@ -192,42 +191,30 @@ class BitMasks:
 
 
 def _forced_arrows(rank: DynkinA, items: Sequence[tuple[int, KRFactor]]) -> list[Arrow]:
-    """The arrow of every ordered pair of (id, factor) items whose tensor
-    product is reducible and highest-weight-ordered: same coset, positive
-    center gap, gap in the pair's reducibility set.  For colors a <= b
-    that set ends at r + s + min(a + b - 2, 2n - a - b), whose offset is
-    at most the mean n - 1, at most 2 max(colors) - 2 as a + b <= 2 max,
-    and at most 2n - 2 min(colors) as a + b >= 2 min; so window_pairs with
-    the least of the three as slack yields every such pair, upper factor
-    first.  Arrows come in (tail, head) id order; colors must lie in the
-    diagram."""
-    n = rank.n
-    factors = [f for _, f in items]
-    colors = {f.color for f in factors}
-    slack = min(n - 1, 2 * max(colors) - 2, 2 * n - 2 * min(colors)) if colors else 0
-    arrows = []
-    for k, l in window_pairs(factors, attrgetter("coset"), slack):
-        fa, fb = factors[k], factors[l]
-        delta = fa.center - fb.center
-        if reducible(delta, fa.color, fb.color, fa.length, fb.length, 1, n):
-            arrows.append(Arrow(items[k][0], items[l][0], delta))
-    return sorted(arrows)
+    """The forced pairs of the (id, factor) items (lweight.forced_pairs) as
+    arrows between their ids, in (tail, head) id order."""
+    pairs = forced_pairs(rank, [f for _, f in items])
+    return sorted(Arrow(items[k][0], items[l][0], gap) for k, l, gap in pairs)
 
 
-def _graph_from_factors(rank: DynkinA, factors: tuple[KRFactor, ...]) -> FactGraph:
-    items = tuple(enumerate(factors))
-    g = FactGraph(rank, dict(items), tuple(_forced_arrows(rank, items)))
+def _graph_from_factors(
+    rank: DynkinA, factors: tuple[KRFactor, ...], arrows: Sequence[tuple[int, int, int]]
+) -> FactGraph:
+    """The graph on the factors' positions with the arrows construction
+    forced on them, handed over to validate as its _forced."""
+    g = FactGraph(rank, dict(enumerate(factors)), arrows)
     object.__setattr__(g, "_forced", g.arrows)
     return g
 
 
 def build_graph(p: DrinfeldPoly) -> FactGraph:
-    """Graph of a (pseudo) factorization: one vertex per factor, and an
-    arrow for every ordered pair whose tensor product is reducible and
-    highest-weight-ordered.  Canonical input yields the q-factorization
-    graph of the polynomial.  Vertex k is the k-th factor in the sorted
-    order p keeps, so the graph is already canonical()."""
-    return _graph_from_factors(p.rank, p.factors)
+    """Graph of a (pseudo) factorization: one vertex per factor, and as
+    arrows p's forced pairs, the ordered pairs whose tensor product is
+    reducible and highest-weight-ordered (q_factorize's self-check has
+    scanned them when p is its result).  Canonical input yields the
+    q-factorization graph of the polynomial.  Vertex k is the k-th
+    factor in the sorted order p keeps, so the graph is canonical()."""
+    return _graph_from_factors(p.rank, p.factors, p._forced)
 
 
 def to_polynomial(g: FactGraph) -> DrinfeldPoly:
@@ -269,10 +256,9 @@ def validate(g: FactGraph, level: str = "qfact") -> ValidationReport:
     but the graph lacks is a missing-arrow, and every graph arrow that
     construction does not give is an unjustified-arrow (its exponent
     lies outside the pair's reducibility set).  qfact: no same-color,
-    same-coset pair interacts.  Past pseudo every arrow is forced, and a
-    same-color pair's single-node set shares its full set's first member
-    and parity but ends earlier, at r + s, so every interacting pair is an
-    arrow whose exponent is at most that end; only the arrows are read.
+    same-coset pair interacts.  Past pseudo the arrows are the forced
+    pairs, so by the argument of lweight.is_q_factorization the arrows of
+    one color with exponent at most r + s are the violations.
     Deleting a bridge arrow cannot mask a violation: pseudo reports it
     missing.  Levels are cumulative; failures are reported, never raised.
     """
@@ -540,7 +526,8 @@ def graph_tensor(g: FactGraph, h: FactGraph) -> TensorResult:
     fg = tuple(g.vertices[v] for v in g.ids())
     fh = tuple(h.vertices[v] for v in h.ids())
     product = DrinfeldPoly(g.rank, fg + fh)  # checks the colors
-    combined = _graph_from_factors(g.rank, fg + fh)
+    items = tuple(enumerate(fg + fh))
+    combined = _graph_from_factors(g.rank, fg + fh, _forced_arrows(g.rank, items))
     origin = ("left",) * len(fg) + ("right",) * len(fh)
     separate = Counter(q_factorize(to_polynomial(g)).factors) + Counter(
         q_factorize(to_polynomial(h)).factors

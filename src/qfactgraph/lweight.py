@@ -8,10 +8,11 @@ opaque coset tag.  Factors in distinct cosets never interact.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
-from operator import attrgetter
-from typing import Callable, Hashable, Iterable, Iterator, Sequence
+from functools import cached_property
+from typing import Iterable, Sequence
 
 from .dynkin import DynkinA, reducible
 from .errors import InternalInvariantViolation, NonPositiveLength, PolySyntaxError
@@ -94,58 +95,69 @@ class DrinfeldPoly:
     def __iter__(self):
         return iter(self.factors)
 
+    @cached_property
+    def _forced(self) -> tuple[tuple[int, int, int], ...]:
+        """forced_pairs of the factors, scanned once for is_q_factorization and build_graph."""
+        return forced_pairs(self.rank, self.factors)
+
 
 def roots_of(f: KRFactor) -> tuple[int, ...]:
     """Exponents of the string roots: center + length - 1 - 2p for 0 <= p < length."""
     return tuple(f.center - f.length + 1 + 2 * p for p in range(f.length))
 
 
-def window_pairs(
-    factors: Sequence[KRFactor], group: Callable[[KRFactor], Hashable], slack: int
-) -> Iterator[tuple[int, int]]:
-    """Every same-group pair that can be reducible, once, as indices (k, l)
-    with k the candidate upper factor.  With lo = center - length + 1 and
-    hi = center + length - 1, k above l (lengths r, s, colors d apart, gap
-    gap) has lo_k - lo_l = gap - r + s and hi_k - hi_l = gap + r - s, both at
-    least 2 when gap >= |r - s| + d + 2, and lo_k - hi_l = gap - r - s + 2 <=
-    slack + 2, as the set ends by r + s + slack: slack n - 1 on A_n
-    (b - a + 2 min(a - 1, n - b) <= n - 1), 0 on one node.  So lo_k lies in
-    [lo_l + 2, hi_l + slack + 2], l is never reducible above k, and a yielded
-    pair with a negative gap is refused by reducible.  Sorted by (group, lo),
-    each l moves a forward-only start pointer past lo_l + 2 and stops past
-    hi_l + slack + 2: the cost is the sort plus the pairs in the windows."""
-    keyed = sorted((group(f), f.center - f.length + 1, k) for k, f in enumerate(factors))
-    size, start = len(keyed), 0
-    for key, lo, l in keyed:
-        floor = (key, lo + 2)
-        while start < size and keyed[start] < floor:
-            start += 1
-        ceiling = (key, lo + 2 * factors[l].length + slack + 1)  # past hi_l + slack + 2
-        upper = start
-        while upper < size and keyed[upper] < ceiling:
-            yield keyed[upper][2], l
-            upper += 1
-
-
-def interacting_pairs(factors: Sequence[KRFactor]) -> list[tuple[int, int]]:
-    """Index pairs k < l of same-color, same-coset factors whose strings
-    interact: their center gap lies in the single-node reducibility set
-    {r + s - 2p : 0 <= p < min(r, s)}, i.e. the strings overlap without
-    nesting or abut with a gap of one step.  That set ends at r + s, so
-    window_pairs with slack 0 yields every such pair.  Pairs come in
-    lexicographic order."""
+def forced_pairs(rank: DynkinA, factors: Sequence[KRFactor]) -> tuple[tuple[int, int, int], ...]:
+    """The (k, l, gap) of every pair with k above l: one coset, and a center
+    gap in the pair's full-diagram reducibility set, sorted.  With lowest and
+    top roots lo and hi, u = lo + color and w = lo - color, colors b of k and
+    a of l, and lengths r and s, such a pair has
+    u_k in [u_l + 2, hi_l - a + 2n + 2], w_k in [w_l + 2, hi_l + a] and
+    u_k = u_l (mod 2): the set's first member |r - s| + |a - b| + 2 bounds
+    lo_k - lo_l from below by |a - b| + 2, its last r + s +
+    min(a + b - 2, 2n - a - b) bounds lo_k - hi_l from above by that min + 2,
+    and the gap's parity r + s + a + b is that of u_k - u_l.  Only the pair's
+    own strings enter.  Per (coset, parity of u), each l bisects the factors
+    sorted by u and by w, scans the window with fewer points and checks the
+    other coordinate; reducible refuses the rest, k nested in l."""
+    n = rank.n
+    u = [f.center - f.length + 1 + f.color for f in factors]
+    w = [x - 2 * f.color for x, f in zip(u, factors)]
+    groups: dict[tuple[int, int], list[int]] = defaultdict(list)
+    for k, f in enumerate(factors):
+        groups[f.coset, u[k] % 2].append(k)
     pairs = []
-    for k, l in window_pairs(factors, attrgetter("color", "coset"), 0):
-        a, b = factors[k], factors[l]
-        i = a.color
-        if reducible(a.center - b.center, i, i, a.length, b.length, i, i):
-            pairs.append((min(k, l), max(k, l)))
-    return sorted(pairs)
+    for members in groups.values():
+        by_u, by_w = sorted(members, key=u.__getitem__), sorted(members, key=w.__getitem__)
+        us, ws = [u[k] for k in by_u], [w[k] for k in by_w]
+        for l in members:
+            fl = factors[l]
+            hi = fl.center + fl.length - 1
+            u_lo, u_hi, w_lo, w_hi = u[l] + 2, hi - fl.color + 2 * n + 2, w[l] + 2, hi + fl.color
+            u0, u1 = bisect_left(us, u_lo), bisect_right(us, u_hi)
+            w0, w1 = bisect_left(ws, w_lo), bisect_right(ws, w_hi)
+            if u1 - u0 <= w1 - w0:
+                window = [k for k in by_u[u0:u1] if w_lo <= w[k] <= w_hi]
+            else:
+                window = [k for k in by_w[w0:w1] if u_lo <= u[k] <= u_hi]
+            for k in window:
+                fk = factors[k]
+                gap = fk.center - fl.center
+                if reducible(gap, fk.color, fl.color, fk.length, fl.length, 1, n):
+                    pairs.append((k, l, gap))
+    return tuple(sorted(pairs))
 
 
 def is_q_factorization(p: DrinfeldPoly) -> bool:
-    """True iff no same-color, same-coset pair of factors interacts."""
-    return not interacting_pairs(p.factors)
+    """True iff no same-color, same-coset pair of factors interacts: its
+    center gap lies in the single-node set {r + s - 2p : 0 <= p < min(r, s)}.
+    That set has the first member |r - s| + 2 and the parity of the pair's
+    full-diagram set and ends earlier, at r + s, so a pair interacts iff it
+    is a forced pair of one color whose gap is at most r + s."""
+    fs = p.factors
+    return not any(
+        fs[k].color == fs[l].color and gap <= fs[k].length + fs[l].length
+        for k, l, gap in p._forced
+    )
 
 
 def q_factorize(p: DrinfeldPoly) -> DrinfeldPoly:

@@ -36,17 +36,51 @@ PAST_CAP = (
 
 @pytest.fixture
 def window_scans(monkeypatch):
-    """One entry per window_pairs scan: interacting_pairs reaches it through
-    lweight, and _forced_arrows through fgraph."""
-    scans, window_pairs = [], lweight.window_pairs
+    """One entry per forced_pairs scan: DrinfeldPoly._forced reaches it
+    through lweight, and _forced_arrows through fgraph."""
+    scans, forced_pairs = [], lweight.forced_pairs
 
     def counting(*args):
         scans.append(args)
-        return window_pairs(*args)
+        return forced_pairs(*args)
 
-    monkeypatch.setattr(lweight, "window_pairs", counting)
-    monkeypatch.setattr(fgraph, "window_pairs", counting)
+    monkeypatch.setattr(lweight, "forced_pairs", counting)
+    monkeypatch.setattr(fgraph, "forced_pairs", counting)
     return scans
+
+
+@pytest.fixture
+def pairs_tested(monkeypatch):
+    """One entry per pair the scan tests: the arguments of each call
+    forced_pairs makes to the kernel."""
+    tested, reducible = [], lweight.reducible
+
+    def counting(*args):
+        tested.append(args)
+        return reducible(*args)
+
+    monkeypatch.setattr(lweight, "reducible", counting)
+    return tested
+
+
+def boundary_pair(k: int, n: int = 10**6) -> tuple[int, str]:
+    """(rank, text) of the factors 1:20i:1 and n:(20i + 10):1 for i < k on
+    A_n: both boundary colors, and no arrow on A_10^6."""
+    return n, " ".join(f"1:{20 * i}:1 {n}:{20 * i + 10}:1" for i in range(k))
+
+
+def diagonal(k: int) -> tuple[int, str]:
+    """(rank, text) of i:i:1 for 1 <= i <= k on A_k: every gap j - i lies
+    below its set's first member |i - j| + 2, so there is no arrow."""
+    return k, " ".join(f"{i}:{i}:1" for i in range(1, k + 1))
+
+
+def nested(k: int) -> tuple[int, str]:
+    """(rank, text) of k // 2 same-center strings 1:0:(4k + 1 - 2j) and
+    k // 2 strings 2:(4i - k):1 on A_2: each string lies inside every
+    longer one, and there is no arrow."""
+    long = [f"1:0:{4 * k + 1 - 2 * j}" for j in range(k // 2)]
+    return 2, " ".join(long + [f"2:{4 * i - k}:1" for i in range(k // 2)])
 
 
 @pytest.fixture

@@ -14,11 +14,13 @@ test here goes through the closed forms below.
   (n + 1 - j, c - (n + 1), s).  Their length check ``_check_lengths`` is
   the one ``redsets`` kept before the rule moved to
   ``lweight.check_length`` (it accepts a bool).
-- ``build_graph`` and the center-window arrow scan
-  ``fgraph._forced_arrows``: ``_graph_from_factors``, which tests every
-  ordered pair of factors with ``kr_pair_relation`` and takes the
-  factors' positions as ids.
-- ``lweight.interacting_pairs`` and ``is_q_factorization``:
+- ``build_graph`` and the pair scan ``lweight.forced_pairs``:
+  ``_graph_from_factors``, which tests every ordered pair of factors with
+  ``kr_pair_relation`` and takes the factors' positions as ids; and
+  ``window_pairs``, the lowest-root center window with one slack for the
+  whole input that ``forced_pairs`` replaced.  It yields index pairs only
+  and reaches no kernel; its callers test them with ``kr_pair_relation``.
+- ``is_q_factorization`` and the one-color forced pairs it reads:
   ``_strings_interact``, the closed form of the single-node set, taken over
   every same-color, same-coset pair.
 - ``validate``: ``validate``, the pair loops over ``rset`` that construction
@@ -57,7 +59,7 @@ test here goes through the closed forms below.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from typing import Iterator, Iterable, Mapping
+from typing import Callable, Hashable, Iterator, Iterable, Mapping, Sequence
 
 from qfactgraph import (
     Arrow,
@@ -191,6 +193,33 @@ def _graph_from_factors(rank: DynkinA, factors: tuple[KRFactor, ...]) -> FactGra
             if rel.kind == "ReducibleHLW":
                 arrows.append(Arrow(a, b, rel.exponent))
     return FactGraph(rank, vertices, tuple(arrows))
+
+
+def window_pairs(
+    factors: Sequence[KRFactor], group: Callable[[KRFactor], Hashable], slack: int
+) -> Iterator[tuple[int, int]]:
+    """Every same-group pair that can be reducible, once, as indices (k, l)
+    with k the candidate upper factor.  With lo = center - length + 1 and
+    hi = center + length - 1, k above l (lengths r, s, colors d apart, gap
+    gap) has lo_k - lo_l = gap - r + s and hi_k - hi_l = gap + r - s, both at
+    least 2 when gap >= |r - s| + d + 2, and lo_k - hi_l = gap - r - s + 2 <=
+    slack + 2, as the set ends by r + s + slack: slack n - 1 on A_n
+    (b - a + 2 min(a - 1, n - b) <= n - 1), 0 on one node.  So lo_k lies in
+    [lo_l + 2, hi_l + slack + 2], l is never reducible above k, and a yielded
+    pair with a negative gap is refused by reducible.  Sorted by (group, lo),
+    each l moves a forward-only start pointer past lo_l + 2 and stops past
+    hi_l + slack + 2: the cost is the sort plus the pairs in the windows."""
+    keyed = sorted((group(f), f.center - f.length + 1, k) for k, f in enumerate(factors))
+    size, start = len(keyed), 0
+    for key, lo, l in keyed:
+        floor = (key, lo + 2)
+        while start < size and keyed[start] < floor:
+            start += 1
+        ceiling = (key, lo + 2 * factors[l].length + slack + 1)  # past hi_l + slack + 2
+        upper = start
+        while upper < size and keyed[upper] < ceiling:
+            yield keyed[upper][2], l
+            upper += 1
 
 
 def validate(g: FactGraph, level: str = "qfact") -> ValidationReport:

@@ -182,11 +182,12 @@ def test_verdict_builds_one_graph(monkeypatch, rank, text, outcome, graphs):
 
 
 def test_verdict_scans_each_pair_window_once(window_scans):
-    # q_factorize's self-check scans once and build_graph once; classify
-    # validates the built graph from the arrows build_graph handed over.
+    # q_factorize's self-check scans once; build_graph reads the forced
+    # pairs that scan left on the polynomial, and classify validates the
+    # built graph from the arrows build_graph handed over.
     code, _ = invoke("verdict", "--rank", "8", "6:0:1 7:3:1 8:6:1 5:-3:1")
     assert code == 0
-    assert len(window_scans) == 2
+    assert len(window_scans) == 1
 
 
 def test_rset_command():

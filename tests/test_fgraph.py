@@ -275,21 +275,14 @@ def test_cut_cap():
     assert len(g.masks.lefts()) == 2**19 - 1
 
 
-def test_forced_arrows_take_the_slack_from_the_colors_present(monkeypatch):
+def test_forced_arrows_take_the_slack_from_the_colors_present(pairs_tested):
     # 2,000 color-1 factors 10 apart on A_10^6: a color-1 set ends at
     # r + s, so no pair can be reducible.  A window of slack n - 1 covers
-    # every later factor, 1,999,000 pairs; slack 2 * 1 - 2 = 0 tests none.
-    window_pairs, yielded = fgraph.window_pairs, []
-
-    def counting(*args):
-        for pair in window_pairs(*args):
-            yielded.append(pair)
-            yield pair
-
-    monkeypatch.setattr(fgraph, "window_pairs", counting)
+    # every later factor, 1,999,000 pairs; each factor's w window,
+    # [w_l + 2, hi_l + 1], holds no w_k = 10k - 1, so the scan tests none.
     items = [(k, KRFactor(1, 10 * k, 1)) for k in range(2000)]
     assert fgraph._forced_arrows(DynkinA(10**6), items) == []
-    assert yielded == []
+    assert pairs_tested == []
 
 
 def test_arrow_dual_involution(snake_graph):

@@ -3,7 +3,6 @@ from __future__ import annotations
 import random
 from collections import Counter
 from itertools import combinations
-from operator import attrgetter
 
 import pytest
 
@@ -29,9 +28,9 @@ from qfactgraph import (
     support,
     weight,
 )
-from qfactgraph.lweight import window_pairs
+from qfactgraph.lweight import forced_pairs
 
-from conftest import A2, A3, A5
+from conftest import A1, A2, A3, A5, boundary_pair, diagonal
 
 
 def P(rank, *triples):
@@ -112,15 +111,46 @@ def test_q_factorize_matches_unique_clear_decomposition():
         assert got == sorted(clear[0]), roots
 
 
-def test_window_pairs_skip_twins_and_one_long_string():
-    # No pair of 2,000 copies of one factor (rank 3, slack 2), nor of 2,000
-    # spaced strings beside one long one (rank 1, slack 0), can be reducible,
-    # so neither grouping tests one.
+def test_window_pairs_skip_twins_and_one_long_string(pairs_tested):
+    # No pair of 2,000 copies of one factor (rank 3), nor of 2,000 spaced
+    # strings beside one long one (rank 1), can be reducible, and the scan
+    # tests none: twins share u, and a spaced string's w window holds none.
     twins = [KRFactor(2, 0, 1)] * 2000
     spaced = [KRFactor(1, 4 * i, 1) for i in range(2000)] + [KRFactor(1, -5_000_000, 1_000_000)]
-    for factors, slack in ((twins, 2), (spaced, 0)):
-        for group in (attrgetter("coset"), attrgetter("color", "coset")):
-            assert next(window_pairs(factors, group, slack), None) is None
+    for factors, rank in ((twins, A3), (spaced, A1)):
+        assert forced_pairs(rank, factors) == ()
+    assert pairs_tested == []
+
+
+@pytest.mark.parametrize("family, k", [(boundary_pair, 2000), (diagonal, 1000)])
+def test_forced_pairs_test_no_pair_of_an_arrowless_family(pairs_tested, family, k):
+    # Both boundary colors on A_10^6, or the diagonal: a window with one
+    # slack for the whole input tests 7,998,000 and 498,501 pairs.  Each
+    # pair's rectangle comes from its own two strings, and none holds a
+    # point.
+    rank, text = family(k)
+    p = parse_poly(text, rank)
+    assert forced_pairs(p.rank, p.factors) == ()
+    assert pairs_tested == []
+
+
+def test_forced_pairs_test_only_forced_pairs_when_no_string_can_nest(pairs_tested):
+    # Strings of one length per coset never nest, and every other point of
+    # a pair's rectangle and parity class is reducible, so the scan tests
+    # exactly the pairs it returns.
+    rng = random.Random(5)
+    found = 0
+    for _ in range(500):
+        d = DynkinA(rng.randint(1, 9))
+        lengths = (rng.randint(1, 4), rng.randint(1, 4))
+        factors = []
+        for _ in range(rng.randint(2, 30)):
+            color, center, coset = rng.randint(1, d.n), rng.randint(-15, 15), rng.randrange(2)
+            factors.append(KRFactor(color, center, lengths[coset], coset))
+        pairs_tested.clear()
+        found += len(pairs := forced_pairs(d, factors))
+        assert len(pairs_tested) == len(pairs), factors
+    assert found >= 5000
 
 
 def test_is_q_factorization_examples():

@@ -1,6 +1,6 @@
 """Differential tests: the reducibility kernel, the shared construction
 loop, validate, the bitmask cut engine, the bit-sliced report rows, the
-endpoint-sweep q-factorization, the center-window pair scans, the
+endpoint-sweep q-factorization, the pair scan forced_pairs, the
 topological order check, the mask-based order structure and the chain
 audit against the reference implementations in oracles.py."""
 
@@ -13,6 +13,7 @@ from array import array
 from collections import Counter
 from dataclasses import replace
 from io import StringIO
+from operator import attrgetter
 from typing import Sequence
 
 import hypothesis.strategies as st
@@ -47,6 +48,7 @@ from qfactgraph import (
     is_tree,
     kr_dual_pair_simple,
     kr_pair_relation,
+    parse_poly,
     partial_order,
     q_factorize,
     rset,
@@ -62,9 +64,9 @@ from qfactgraph import primality
 from qfactgraph.cli import _dumps, _write_verdict
 from qfactgraph.dynkin import reducibility_bounds, reducible
 from qfactgraph.fgraph import _forced_arrows
-from qfactgraph.lweight import interacting_pairs
+from qfactgraph.lweight import forced_pairs
 
-from conftest import increasing_chains, unknown_verdict
+from conftest import boundary_pair, diagonal, increasing_chains, nested, unknown_verdict
 
 COMMON = dict(
     deadline=None,
@@ -200,6 +202,29 @@ def test_validate_matches_oracle(poly, canonical_input, seed, ops):
     assert built == oracles._graph_from_factors(poly.rank, poly.factors)
     g = mutate(built, random.Random(seed), ops)
     assert_validate_matches_oracle(g)
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_one_color_test_at_the_end_of_the_single_node_set(n):
+    # On every interior color one same-color pair sits at gap r + s - 2 or
+    # r + s, in the single-node set, or at r + s + 2, one member past it
+    # but still in the full set: all three are arrows, and only the first
+    # two are qfact-violations, built or hand-built.
+    d = DynkinA(n)
+    for c in range(2, n):
+        for r, s in ((2, 2), (3, 2), (2, 4)):
+            for gap in (r + s - 2, r + s, r + s + 2):
+                upper, lower = KRFactor(c, gap, r), KRFactor(c, 0, s)
+                interacts = gap <= r + s
+                assert oracles._strings_interact(upper, lower) == interacts
+                poly = DrinfeldPoly(d, (upper, lower))
+                assert is_q_factorization(poly) == (not interacts)
+                built = build_graph(poly)
+                assert built == oracles._graph_from_factors(d, poly.factors)
+                hand = FactGraph(d, {7: lower, -3: upper}, (Arrow(-3, 7, gap),))
+                for g in (built, hand):
+                    assert validate(g, "qfact").ok == (not interacts)
+                    assert_validate_matches_oracle(g)
 
 
 def test_mutations_reach_every_failure_kind():
@@ -553,6 +578,18 @@ def all_interacting_pairs(factors: Sequence[KRFactor]) -> list[tuple[int, int]]:
     ]
 
 
+def assert_one_color_pairs_match_oracle(d: DynkinA, factors: Sequence[KRFactor]) -> None:
+    """The forced pairs of one color whose gap is at most r + s, which
+    is_q_factorization reads, are the closed form's interacting pairs."""
+    one_color = sorted(
+        (min(k, l), max(k, l))
+        for k, l, gap in forced_pairs(d, factors)
+        if factors[k].color == factors[l].color and gap <= factors[k].length + factors[l].length
+    )
+    assert one_color == all_interacting_pairs(factors)
+    assert is_q_factorization(DrinfeldPoly(d, factors)) == (not one_color)
+
+
 def grown_size(rng: random.Random) -> int:
     # Grown graphs past four vertices are seldom totally ordered.
     return rng.choice((3, 4, rng.randint(5, 40)))
@@ -567,7 +604,7 @@ def test_window_scans_match_oracle(seed):
     # The oracle graph's ids are the factors' positions, as the items' are.
     items = list(enumerate(factors))
     assert tuple(_forced_arrows(d, items)) == oracles._graph_from_factors(d, factors).arrows
-    assert interacting_pairs(factors) == all_interacting_pairs(factors)
+    assert_one_color_pairs_match_oracle(d, factors)
     poly = DrinfeldPoly(d, factors)
     g = build_graph(poly)
     assert g == oracles._graph_from_factors(d, poly.factors)
@@ -626,8 +663,8 @@ def test_window_soup_reaches_the_window_edges():
 
 def lowest_root_soup(rng: random.Random) -> tuple[DynkinA, tuple[KRFactor, ...]]:
     """8-30 short factors over A_1-A_6, of lengths 1-5 and cosets 0-1, the
-    inputs that decide window_pairs' lowest-root window.  Half the soups
-    also hold one string of length 50-500.  After the first, a factor is
+    inputs that decided the lowest-root window of oracles.window_pairs.
+    Half the soups also hold one string of length 50-500.  After the first, a factor is
     mostly placed against an earlier one: a block of 2-5 twins of it, a
     near-twin (its lowest root, another length), or a factor at a center
     gap within two steps of the pair's lower bound |r - s| + d + 2 or of
@@ -664,7 +701,7 @@ def test_lowest_root_window_matches_oracle(seed):
     d, factors = lowest_root_soup(random.Random(seed))
     items = list(enumerate(factors))
     assert tuple(_forced_arrows(d, items)) == oracles._graph_from_factors(d, factors).arrows
-    assert interacting_pairs(factors) == all_interacting_pairs(factors)
+    assert_one_color_pairs_match_oracle(d, factors)
 
 
 def test_lowest_root_soup_reaches_twins_long_strings_and_the_lower_edge():
@@ -684,6 +721,72 @@ def test_lowest_root_soup_reaches_twins_long_strings_and_the_lower_edge():
             seen["long lower edge"] += a.exp == lower and max(fa.length, fb.length) >= 50
     assert seen["twin block"] >= 30 and seen["long string"] >= 30, seen
     assert seen["lower edge"] >= 100 and seen["long lower edge"] >= 10, seen
+
+
+def replaced_window_pairs(
+    d: DynkinA, factors: Sequence[KRFactor]
+) -> tuple[tuple[int, int, int], ...]:
+    """The pairs of the replaced window, by coset with slack n - 1, that the
+    closed-form kernel calls reducible, as sorted (k, l, gap), k above l."""
+    pairs = []
+    for k, l in oracles.window_pairs(factors, attrgetter("coset"), d.n - 1):
+        relation = oracles.kr_pair_relation(d, factors[k], factors[l])
+        if relation.kind == "ReducibleHLW":
+            pairs.append((k, l, relation.exponent))
+    return tuple(sorted(pairs))
+
+
+@pytest.mark.parametrize("k", (1, 2, 5, 16, 60))
+def test_forced_pairs_match_the_replaced_window_on_hostile_families(k):
+    # The boundary pair on ranks where its gap of 10 is in the set (A_9),
+    # is not (A_10) and is far below its first member, the diagonal, and
+    # nested strings, which only reducible refuses.
+    families = [boundary_pair(k, n) for n in (2, 9, 10, 61)] + [diagonal(k), nested(k)]
+    for rank, text in families:
+        p = parse_poly(text, rank)
+        assert forced_pairs(p.rank, p.factors) == replaced_window_pairs(p.rank, p.factors)
+
+
+def boundary_soup(rng: random.Random) -> tuple[DynkinA, tuple[KRFactor, ...]]:
+    """10-40 factors over A_2-A_12 that hold both boundary colors, of
+    lengths 1-4 and cosets 0-1, colored 1, n or anything.  After the first
+    two, a factor mostly sits against an earlier one, on either side, at a
+    center gap within two steps of the first or last member of the pair's
+    set, the edges of its rectangle."""
+    d = DynkinA(rng.randint(2, 12))
+    n = d.n
+    factors = [KRFactor(1, rng.randint(-20, 20), rng.randint(1, 4)), KRFactor(n, 0, 1)]
+    for _ in range(rng.randint(8, 38)):
+        color = rng.choice((1, n, rng.randint(1, n)))
+        length, coset = rng.randint(1, 4), rng.randint(0, 1)
+        if rng.randrange(6) == 0:
+            factors.append(KRFactor(color, rng.randint(-30, 30), length, coset))
+            continue
+        base = rng.choice(factors)
+        members = oracles.rset(d, base.color, color, base.length, length).members
+        edge = rng.choice((members[0], members[-1])) + rng.randint(-2, 2)
+        center = base.center + rng.choice((-1, 1)) * edge
+        factors.append(KRFactor(color, center, length, base.coset if rng.randrange(4) else coset))
+    return d, tuple(factors)
+
+
+def test_forced_pairs_match_the_replaced_window_on_boundary_soups():
+    rng = random.Random(3)
+    edges = Counter()
+    for _ in range(300):
+        d, factors = boundary_soup(rng)
+        pairs = forced_pairs(d, factors)
+        assert pairs == replaced_window_pairs(d, factors)
+        assert_one_color_pairs_match_oracle(d, factors)
+        for k, l, gap in pairs:
+            a, b = sorted((factors[k].color, factors[l].color))
+            r, s = factors[k].length, factors[l].length
+            edges["boundary colors"] += (a, b) == (1, d.n)
+            edges["first"] += gap == abs(r - s) + b - a + 2
+            edges["last"] += gap == r + s + min(a + b - 2, 2 * d.n - a - b)
+    # Guards against vacuity: pairs of both boundary colors, and pairs at
+    # the first or last member of their set, on the rectangle's sides.
+    assert min(edges["boundary colors"], edges["first"], edges["last"]) >= 1000, edges
 
 
 def test_order_structure_on_cycles():
