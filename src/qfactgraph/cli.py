@@ -11,7 +11,7 @@ import argparse
 import json
 import os
 import sys
-from itertools import islice
+from itertools import chain, islice
 from typing import IO, Callable, Iterator, Sequence
 
 from .dynkin import DynkinA
@@ -97,33 +97,42 @@ def _id_texts(names: Sequence[str]) -> list[str]:
 
 
 def _write_report(report: _CutReport, out: IO[str]) -> None:
-    """Write the JSON list of the report's entries, each one
+    """Write the JSON list of the entries of classify's report, which has
+    every cut, each entry
     {"left": [...], "right": [...], "status": ..., "witness": ...}, from its
     rows, and build no Cut or CutClass.  The id lists come from two tables
     of id texts, one for the masks of the bits below half = n // 2 and one
-    for those from half up: 2^half + 2^(n - half) entries, not 2^n."""
+    for those from half up: 2^half + 2^(n - half) entries, not 2^n.
+
+    Left side 2i + 1 is hi << half | lo with lo odd, so the entries come in
+    one block per hi, lo ascending inside it.  Each odd lo gives the text up
+    to the left side's high ids and the right side's low ids with their
+    separator; each block gives both sides' high ids once; and the status
+    table's items close the entry.  The last block's right side has no high
+    ids, so its low ids take no separator, and its last entry, left = full,
+    has no row."""
     m = report.graph.masks
     names = [str(v) for v in m.ids]
-    half, full = len(names) // 2, m.full
-    low = (1 << half) - 1
+    half = len(names) // 2
+    low, top = (1 << half) - 1, m.full >> half
     lo_text, hi_text = _id_texts(names[:half]), _id_texts(names[half:])
-
-    def members(mask: int) -> str:
-        a, b = lo_text[mask & low], hi_text[mask >> half]
-        return f"{a}, {b}" if a and b else a or b
-
+    odd = range(1, low + 1, 2)
+    lefts = [f'{{"left": [{lo_text[lo]}' for lo in odd]
+    rights = [f'], "right": [{lo_text[low ^ lo]}' for lo in odd]
+    joined = [f"{text}, " if lo != low else text for text, lo in zip(rights, odd)]
     statuses = report.by_row(
-        lambda kl, kr: f'"ReducibleByExtremal", "witness": [{names[kl]}, {names[kr]}]',
-        '"Undetermined", "witness": null',
+        lambda kl, kr: f'"ReducibleByExtremal", "witness": [{names[kl]}, {names[kr]}]}}',
+        '"Undetermined", "witness": null}',
     )
+    rows = iter(report.rows)
 
-    def entry(left: int, row: int) -> str:
-        return (
-            f'{{"left": [{members(left)}], "right": [{members(full ^ left)}], '
-            f'"status": {statuses[row]}}}'
-        )
+    def block(hi: int) -> list[str]:
+        left_hi = f", {hi_text[hi]}" if hi else ""
+        right_hi = f'{hi_text[top ^ hi]}], "status": '
+        texts = joined if hi != top else rights
+        return [f"{a}{left_hi}{b}{right_hi}{statuses[row]}" for a, b, row in zip(lefts, texts, rows)]
 
-    _write_list(out, map(entry, report.lefts, report.rows))
+    _write_list(out, chain.from_iterable(map(block, range(top + 1))))
 
 
 def _write_verdict(v: Verdict, out: IO[str]) -> None:

@@ -205,6 +205,12 @@ def _dual_rows(g: FactGraph) -> list[int]:
     ]
 
 
+def _arrow_passes(bad: list[int], h: int, t: int, upper: int, lower: int) -> bool:
+    """The dual test of the arrow t -> h: no row of bad over upper, with t
+    cleared from h's, meets lower."""
+    return not (bad[h] & ~(1 << t) & lower or any(bad[x] & lower for x in _bits(upper & ~(1 << h))))
+
+
 def _dual_base(m: BitMasks, bad: list[int], left: int) -> tuple[int, int, int, int] | None:
     """The first base pair (kl, kr) of the cut whose left side is the mask
     left that passes the dual test, as (kl, kr, condition, tested) with
@@ -212,10 +218,9 @@ def _dual_base(m: BitMasks, bad: list[int], left: int) -> tuple[int, int, int, i
 
     An arrow t -> h across the cut passes if every vertex of upper (h and
     its ancestors on h's side) is dual-simple against every vertex of lower
-    (t and its descendants on t's side), bar the pair (h, t) itself: no row
-    of bad over upper, with t cleared from h's, meets lower.  Both arrows of
-    a pair are tried, kr -> kl first; condition is 1 exactly when h is on
-    the left."""
+    (t and its descendants on t's side), bar the pair (h, t) itself
+    (_arrow_passes).  Both arrows of a pair are tried, kr -> kl first;
+    condition is 1 exactly when h is on the left."""
     right = m.full ^ left
     for kl in _bits(left):
         for kr in _bits(m.nbr[kl] & right):
@@ -223,15 +228,57 @@ def _dual_base(m: BitMasks, bad: list[int], left: int) -> tuple[int, int, int, i
                 if m.out[t] >> h & 1:
                     upper = _closure(m.inn, 1 << h, side)
                     lower = _closure(m.out, 1 << t, m.full ^ side)
-                    if not (bad[h] & ~(1 << t) & lower
-                            or any(bad[x] & lower for x in _bits(upper ^ 1 << h))):
+                    if _arrow_passes(bad, h, t, upper, lower):
                         return kl, kr, condition, upper | lower
     return None
 
 
-def _dual_walk(m: BitMasks, bad: list[int], lefts: range) -> bool:
-    """True iff every cut of lefts has a base pair that passes _dual_base."""
-    return all(_dual_base(m, bad, left) for left in lefts)
+def _dual_classes(m: BitMasks, bad: list[int]) -> list[int]:
+    """The classes of the vertices joined by certified arrows, as masks in
+    the order of their lowest vertex, vertex 0's first.
+
+    An arrow t -> h is certified if it passes _arrow_passes on whole-graph
+    closures: upper U = h and its ancestors bar t, lower D = t and its
+    descendants bar h.  A vertex in both U and D stays in both.  Take a cut
+    with h on side S and t off it.  Its upper, h's ancestors reached inside
+    S, misses t and lies in U; its lower, t's descendants reached off S,
+    misses h and lies in D.  So _dual_base's test of that arrow reads rows
+    of U against D, and the arrow passes: every cut that splits a class
+    passes the dual test."""
+    n, full = len(m.ids), m.full
+    up = [_closure(m.inn, 1 << v, full) for v in range(n)]
+    down = [_closure(m.out, 1 << v, full) for v in range(n)]
+    linked = [0] * n
+    for t, h in m.arrow_bits:
+        if _arrow_passes(bad, h, t, up[h] & ~(1 << t), down[t] & ~(1 << h)):
+            linked[t] |= 1 << h
+            linked[h] |= 1 << t
+    classes, seen = [], 0
+    for v in range(n):
+        if not seen >> v & 1:
+            classes.append(_closure(linked, 1 << v, full))
+            seen |= classes[-1]
+    return classes
+
+
+def _dual_walk(m: BitMasks, bad: list[int]) -> bool:
+    """True iff every cut has a base pair that passes _dual_base.  A cut
+    that splits a class of _dual_classes passes, so only the cuts whose
+    left side is vertex 0's class and a union of others are tested, in
+    ascending order, and one class means no test: 2^(c-1) - 1 cuts for c
+    classes, not 2^(n-1) - 1."""
+    first, *rest = _dual_classes(m, bad)
+    rest.sort(key=int.bit_length)  # by top vertex, so that counting up ascends
+    below = [0]
+    for c in rest:
+        below.append(below[-1] | c)
+    left = first
+    for j in range(1, 1 << len(rest)):
+        if not _dual_base(m, bad, left):
+            return False
+        k = (j & -j).bit_length() - 1  # class k joins; the classes below it leave
+        left = left & ~below[k] | rest[k]
+    return True
 
 
 def dual_neighborhood_certificate(g: FactGraph) -> DualCertificate | None:
@@ -247,7 +294,7 @@ def dual_neighborhood_certificate(g: FactGraph) -> DualCertificate | None:
     m = g.masks
     lefts = m.lefts()
     bad, ids = _dual_rows(g), m.ids
-    if not _dual_walk(m, bad, lefts):
+    if not _dual_walk(m, bad):
         return None
     witnesses = []
     for left in lefts:
@@ -345,7 +392,7 @@ def classify(g: FactGraph) -> Verdict:
     if n > _CUT_CAP:
         return Verdict("Unknown", reason="cap-exceeded")
     lefts = m.lefts()
-    if _dual_walk(m, _dual_rows(g), lefts):
+    if _dual_walk(m, _dual_rows(g)):
         return Verdict("Prime", certificate="DualNeighborhood")
     # The graph is connected, so an arrow crosses every cut.
     return Verdict("Unknown", report=_CutReport(g, lefts, _report_rows(g)))

@@ -4,7 +4,7 @@ import hypothesis.strategies as st
 import pytest
 
 import oracles
-from qfactgraph import fgraph, lweight
+from qfactgraph import fgraph, lweight, primality
 from qfactgraph import (
     DrinfeldPoly,
     DynkinA,
@@ -47,6 +47,21 @@ def window_scans(monkeypatch):
     monkeypatch.setattr(lweight, "forced_pairs", counting)
     monkeypatch.setattr(fgraph, "forced_pairs", counting)
     return scans
+
+
+@pytest.fixture
+def dual_bases(monkeypatch):
+    """One entry per _dual_base call: the left mask of the cut it tests.
+    The dual walk and the certificate's witnesses both reach it through
+    primality."""
+    lefts, dual_base = [], primality._dual_base
+
+    def counting(m, bad, left):
+        lefts.append(left)
+        return dual_base(m, bad, left)
+
+    monkeypatch.setattr(primality, "_dual_base", counting)
+    return lefts
 
 
 @pytest.fixture

@@ -25,6 +25,10 @@ test here goes through the closed forms below.
   every same-color, same-coset pair.
 - ``validate``: ``validate``, the pair loops over ``rset`` that construction
   reuse replaced.
+- ``primality._dual_walk``: ``dual_walk``, the per-cut walk that the walk
+  over unions of certified-arrow classes replaced.  It runs the library's
+  ``_dual_base`` on every cut, on the masks and dual rows it is given, so
+  it reaches no kernel.
 - The cut stage, ``cuts`` through ``classify``: the set-based version the
   bitmask cut engine replaced.  Every cut builds both sides as subgraphs
   and walks them.  Its ``cut_reducible_extremal``, one cut at a time, is
@@ -95,6 +99,7 @@ from qfactgraph import (
     to_polynomial,
 )
 from qfactgraph.fgraph import _LEVELS
+from qfactgraph.primality import _dual_base
 from qfactgraph.redsets import SIMPLE
 
 
@@ -463,6 +468,12 @@ def dual_neighborhood_certificate(
             return None
         witnesses.append(w)
     return DualCertificate(tuple(witnesses))
+
+
+def dual_walk(m, bad: list[int]) -> bool:
+    """True iff every cut of the masks m has a base pair that passes
+    _dual_base against the dual rows bad."""
+    return all(_dual_base(m, bad, left) for left in m.lefts())
 
 
 def classify_cut(g: FactGraph, cut: Cut) -> CutClass:

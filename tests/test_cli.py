@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
 import time
 import tracemalloc
+from array import array
 from io import StringIO
 from pathlib import Path
 
@@ -18,6 +20,8 @@ import oracles
 from qfactgraph import (
     DynkinA,
     FactGraph,
+    KRFactor,
+    Verdict,
     build_graph,
     canonical,
     classify,
@@ -28,9 +32,10 @@ from qfactgraph import (
     rset,
     rset_restricted,
 )
-from qfactgraph.cli import _dumps, _write_family, _write_list, run
+from qfactgraph.cli import _dumps, _write_family, _write_list, _write_verdict, run
+from qfactgraph.primality import _CutReport
 
-from conftest import PAST_CAP, UNKNOWN, unknown_verdict
+from conftest import A2, PAST_CAP, UNKNOWN, unknown_verdict
 
 
 def invoke(*argv, stdin_text: str | None = None):
@@ -363,6 +368,41 @@ def test_streamed_verdict_matches_oracle(n):
             **extra,
         }
         assert out.getvalue() == _dumps(payload)
+
+
+class _Writes(StringIO):
+    """A StringIO that counts its writes."""
+
+    writes = 0
+
+    def write(self, text: str) -> int:
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("n", (3, 4, 5, 8, 11, 12, 13, 16))
+def test_report_writer_matches_oracle_on_hand_built_reports(n):
+    # The Unknown report of n vertices on relabelled ids, negative and of
+    # up to four digits, with rows that mix witnesses and Undetermined (-1):
+    # the writer's pieces per low half and per block print what the oracle
+    # encoder prints, on both parities of n, on n = 3 with one low bit,
+    # and past check_cut_engine's 10 vertices, where a report spans
+    # several 1,024-item writes.
+    rng = random.Random(n)
+    ids = rng.sample(range(-150, 0), n // 2) + rng.sample(range(10, 1500), n - n // 2)
+    g = FactGraph(A2, {v: KRFactor(1 + v % 2, 3 * v, 1) for v in ids}, ())
+    lefts = g.masks.lefts()
+    rows = array("h", (rng.choice((-1, rng.randrange(n * n))) for _ in range(len(lefts) - 1)))
+    rows.append(-1)  # the last cut's row is Undetermined
+    verdict = Verdict("Unknown", report=_CutReport(g, lefts, rows))
+    assert -1 in rows and max(rows) >= 0
+    out = _Writes()
+    _write_verdict(verdict, out)
+    expected = _dumps(oracles._verdict_to_json(verdict))
+    # Compared entry by entry, so a failure names the first differing entry
+    # instead of diffing megabytes of one line.
+    assert out.getvalue().split("}, {") == expected.split("}, {")
+    assert out.writes == 4 + (len(lefts) - 1) // 1024  # head, items, "]", "}"
 
 
 def test_family_commands_match_oracle():

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import random
+import sys
 from collections import Counter
 from itertools import combinations
+from types import CodeType
 
 import pytest
 
@@ -132,6 +134,43 @@ def test_forced_pairs_test_no_pair_of_an_arrowless_family(pairs_tested, family, 
     p = parse_poly(text, rank)
     assert forced_pairs(p.rank, p.factors) == ()
     assert pairs_tested == []
+
+
+def lines_run(function, *args) -> int:
+    """The line events sys.settrace sees in frames of function and of the
+    code nested in it (its comprehensions, which are frames of their own
+    before Python 3.12 and inlined from it), while function(*args) runs."""
+    codes, stack = set(), [function.__code__]
+    while stack:
+        code = stack.pop()
+        codes.add(code)
+        stack += [c for c in code.co_consts if isinstance(c, CodeType)]
+    lines = 0
+
+    def count(frame, event, arg):
+        nonlocal lines
+        lines += event == "line"
+        return count
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: count if frame.f_code in codes else None)
+    try:
+        function(*args)
+    finally:
+        sys.settrace(previous)
+    return lines
+
+
+@pytest.mark.parametrize("family, size", [(boundary_pair, 1000), (diagonal, 2000)])
+def test_forced_pairs_scans_the_smaller_window(family, size):
+    # The scan walks the window of each pair's rectangle with fewer points:
+    # about 16 lines per factor on k = 2,000 factors (32,022 and 32,016).
+    # Always walking the u window runs 531,522 and 2,031,016 lines on these
+    # two arrowless families, and tests no more pairs.
+    k = 2000
+    rank, text = family(size)
+    p = parse_poly(text, rank)
+    assert len(p.factors) == k and lines_run(forced_pairs, p.rank, p.factors) <= 20 * k
 
 
 def test_forced_pairs_test_only_forced_pairs_when_no_string_can_nest(pairs_tested):

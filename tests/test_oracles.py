@@ -13,8 +13,9 @@ from array import array
 from collections import Counter
 from dataclasses import replace
 from io import StringIO
-from operator import attrgetter
-from typing import Sequence
+from functools import reduce
+from operator import attrgetter, or_
+from typing import Iterator, Sequence
 
 import hypothesis.strategies as st
 import pytest
@@ -469,6 +470,118 @@ def test_report_acts_as_the_oracle_tuple(n):
     assert repr(report) == repr(old) and repr(verdict) == repr(expected)
     with pytest.raises(IndexError):
         report[len(old)]
+
+
+# The DualNeighborhood primes of the bench's family-mix pool, as (rank,
+# polynomial): 53 of 4 vertices, and 16 of 5-8.
+FAMILY_MIX_DUAL_PRIMES = (
+    (3, "1:-5:1 2:-2:1 3:-5:1 3:0:2"),
+    (3, "1:5:2 2:2:2 2:9:1 3:0:1"),
+    (4, "1:0:2 2:-6:1 3:-9:1 4:-6:1"),
+    (4, "1:-11:1 1:0:2 3:-4:2 4:-6:1"),
+    (4, "1:0:1 1:12:1 3:4:1 4:6:2"),
+    (4, "2:-9:1 3:-5:2 4:-9:1 4:0:2"),
+    (4, "1:-5:2 1:4:1 3:0:1 4:4:2"),
+    (4, "1:-7:2 3:-3:2 4:-7:1 4:0:2"),
+    (4, "1:6:2 2:3:2 3:-6:2 3:0:2 4:-2:1"),
+    (4, "1:-11:1 2:-13:2 2:-7:2 3:0:2 4:-3:2"),
+    (4, "1:4:2 2:6:1 2:17:2 3:0:2 4:11:2"),
+    (5, "1:0:2 3:4:2 4:-5:2 5:-1:1"),
+    (5, "1:0:1 2:4:2 3:0:1 3:10:1"),
+    (5, "1:-7:2 1:7:2 4:-3:1 5:0:1"),
+    (5, "1:-5:1 3:0:2 5:-5:1 5:6:2"),
+    (3, "1:-4:2 1:8:2 1:9:1 2:0:1 2:5:2 2:13:2 3:3:1"),
+    (5, "1:-6:1 1:0:1 3:5:2 5:0:1"),
+    (4, "1:8:1 2:6:2 3:13:2 4:0:2"),
+    (5, "1:5:1 3:5:1 4:0:1 5:-3:1"),
+    (5, "2:-6:1 2:7:2 4:-2:1 5:0:2"),
+    (5, "1:-3:1 2:0:1 4:-9:2 5:-5:1"),
+    (5, "1:-8:2 2:-13:2 3:-5:1 5:0:2"),
+    (3, "1:10:1 2:0:2 2:8:2 2:14:2 3:5:2"),
+    (4, "1:1:1 2:-5:2 2:4:1 4:0:1"),
+    (4, "1:-5:1 3:0:2 4:-5:2 4:4:1"),
+    (4, "1:-9:2 1:-4:1 3:0:1 4:-4:2"),
+    (4, "1:-7:1 1:0:2 2:-11:2 2:-4:1 3:-2:2 4:-6:1"),
+    (5, "1:0:2 2:-3:2 2:2:1 4:6:1"),
+    (5, "1:-12:2 3:-7:1 4:0:1 4:4:1 5:-20:2 5:-12:2 5:-3:1"),
+    (3, "1:-9:1 1:0:2 1:10:2 2:-17:2 2:-2:1 3:-14:2 3:-5:1 3:5:1"),
+    (4, "2:6:2 3:-5:2 3:0:1 4:2:2"),
+    (4, "1:4:1 2:0:2 2:8:2 4:4:2"),
+    (4, "1:-5:1 1:5:1 3:0:2 4:5:2"),
+    (4, "1:-6:2 1:4:2 3:0:2 4:4:1"),
+    (4, "1:-5:1 2:4:1 3:0:2 4:-4:1"),
+    (4, "1:4:1 2:6:2 3:0:1 4:9:1"),
+    (5, "1:10:2 2:6:1 3:0:2 4:10:1 4:16:1"),
+    (5, "1:-9:2 1:6:1 3:-5:2 4:-2:2 5:0:1"),
+    (5, "1:-7:2 3:-3:2 4:-12:2 5:-15:2 5:0:1"),
+    (5, "1:-5:1 2:-8:1 2:6:1 4:0:1 5:-4:2"),
+    (5, "1:0:2 3:3:1 4:-6:1 5:7:1"),
+    (5, "1:-5:2 2:0:2 4:4:2 5:6:1"),
+    (4, "1:6:2 2:4:1 2:10:1 4:0:1"),
+    (5, "1:-2:1 1:6:1 2:-5:1 5:0:1"),
+    (5, "1:0:1 1:14:1 4:5:1 5:7:2"),
+    (5, "1:-5:2 1:4:1 2:6:2 3:0:1"),
+    (4, "1:0:2 3:4:2 4:0:1 4:8:1"),
+    (4, "1:-12:1 1:0:1 2:-10:2 4:-6:2"),
+    (4, "1:0:2 2:-9:2 3:-3:1 4:-6:1"),
+    (4, "1:-3:1 2:-7:2 3:0:2 4:3:2"),
+    (5, "1:4:1 3:0:1 4:10:2 5:4:1"),
+    (5, "3:-8:2 3:0:2 5:-3:1 5:5:1"),
+    (5, "1:-6:1 3:-6:1 3:7:2 4:0:2"),
+    (4, "1:-7:1 2:0:1 3:-3:1 3:5:1 4:-1:2"),
+    (4, "2:0:2 3:-3:2 3:3:2 4:5:1"),
+    (4, "1:0:2 3:4:2 4:0:1 4:9:2"),
+    (5, "1:6:1 1:11:2 3:7:2 3:17:2 4:0:2 5:4:1"),
+    (5, "1:-5:1 2:-7:2 3:-19:1 3:-13:1 4:0:1 5:-3:1"),
+    (5, "1:0:2 4:-9:2 4:-4:1 5:-6:2"),
+    (5, "1:2:1 2:5:1 4:-4:2 5:0:1"),
+    (5, "2:-5:1 2:0:2 3:4:1 5:0:1"),
+    (5, "1:0:2 2:2:1 2:12:1 5:7:1"),
+    (3, "1:11:2 2:0:2 2:6:2 2:13:1 3:-5:2 3:3:2 3:17:2"),
+    (4, "1:4:2 3:-6:2 3:0:2 4:-2:1"),
+    (4, "2:-4:1 2:0:1 2:4:1 4:-4:1"),
+    (5, "1:-11:1 3:-11:1 3:0:2 4:-5:2"),
+    (5, "1:-4:2 1:3:1 2:0:1 4:7:2"),
+    (5, "1:1:1 2:5:2 3:-5:1 5:0:2"),
+    (5, "2:-7:2 3:5:1 4:0:1 5:-3:1"),
+)
+
+
+def dual_walk_graphs() -> Iterator[FactGraph]:
+    """Validated graphs for the dual walk: 400 grown graphs on A_2-A_5 with
+    4-10 vertices, and the family-mix DualNeighborhood primes."""
+    rng = random.Random(43)
+    for _ in range(400):
+        yield grown_graph(DynkinA(rng.randint(2, 5)), rng.randint(4, 10), "plain", rng)
+    for rank, text in FAMILY_MIX_DUAL_PRIMES:
+        yield build_graph(parse_poly(text, DynkinA(rank)))
+
+
+def test_dual_walk_over_classes_matches_the_per_cut_walk():
+    # Every cut that splits a class of certified arrows passes the dual
+    # test, so testing the unions of classes decides as the walk over
+    # every cut does.
+    seen = Counter()
+    for g in dual_walk_graphs():
+        assert validate(g, "qfact").ok
+        m, bad = g.masks, primality._dual_rows(g)
+        classes = primality._dual_classes(m, bad)
+        assert sorted(classes, key=lambda c: c & -c) == classes and classes[0] & 1
+        assert sum(classes) == m.full == reduce(or_, classes)  # disjoint
+        for left in m.lefts():
+            if any(left & c not in (0, c) for c in classes):
+                assert primality._dual_base(m, bad, left) is not None
+                seen["split cuts"] += 1
+        decision = primality._dual_walk(m, bad)
+        assert decision == oracles.dual_walk(m, bad)
+        c, n = len(classes), len(g.vertices)
+        seen[decision, "one class" if c == 1 else "some" if c < n else "singletons"] += 1
+    # Guards against vacuity: both decisions, with one class, with several
+    # classes and with no arrow certified.
+    assert seen["split cuts"] >= 10_000, seen
+    for key in ((True, "one class"), (False, "some"), (False, "singletons")):
+        assert seen[key] >= 20, seen
+    assert seen[True, "one class"] >= len(FAMILY_MIX_DUAL_PRIMES)
 
 
 def test_grown_graphs_reach_every_cut_stage_verdict():
