@@ -105,8 +105,11 @@ class FactGraph:
 
     @cached_property
     def _forced(self) -> tuple[Arrow, ...]:
-        """The arrows construction forces on these vertices; build_graph hands its own over."""
-        return tuple(_forced_arrows(self.rank, [(v, self.vertices[v]) for v in self.ids()]))
+        """The arrows construction forces on these vertices (lweight.forced_pairs
+        between their ids), in (tail, head) order; build_graph hands its own over."""
+        ids = self.ids()
+        pairs = forced_pairs(self.rank, [self.vertices[v] for v in ids])
+        return tuple(sorted(Arrow(ids[k], ids[l], gap) for k, l, gap in pairs))
 
     @cached_property
     def masks(self) -> BitMasks:
@@ -188,13 +191,6 @@ class BitMasks:
     def cut(self, left: int) -> Cut:
         """The cut whose left side is the mask left."""
         return Cut(frozenset(self.members(left)), frozenset(self.members(self.full ^ left)))
-
-
-def _forced_arrows(rank: DynkinA, items: Sequence[tuple[int, KRFactor]]) -> list[Arrow]:
-    """The forced pairs of the (id, factor) items (lweight.forced_pairs) as
-    arrows between their ids, in (tail, head) id order."""
-    pairs = forced_pairs(rank, [f for _, f in items])
-    return sorted(Arrow(items[k][0], items[l][0], gap) for k, l, gap in pairs)
 
 
 def _graph_from_factors(
@@ -305,33 +301,31 @@ def validate(g: FactGraph, level: str = "qfact") -> ValidationReport:
 
     # With the prefact invariants in place, an arrow is fixed by its pair,
     # so comparing (tail, head, exp) triples is the pairwise check.
-    for a in g._forced:
-        if (a.tail, a.head) not in g.arrow_map:
-            fails.append(
-                ValidationFailure(
-                    "missing-arrow",
-                    (a.tail, a.head),
-                    f"center gap {a.exp} forces an arrow from {a.tail} to {a.head}",
-                )
-            )
-    forced_set = set(g._forced)
-    for a in g.arrows:
-        if a not in forced_set:
-            fails.append(
-                ValidationFailure(
-                    "unjustified-arrow",
-                    (a.tail, a.head),
-                    f"exponent {a.exp} is outside the pair's reducibility set",
-                )
-            )
+    arrows, forced = set(g.arrows), set(g._forced)
+    fails = [
+        ValidationFailure(
+            "missing-arrow",
+            (a.tail, a.head),
+            f"center gap {a.exp} forces an arrow from {a.tail} to {a.head}",
+        )
+        for a in g._forced if a not in arrows
+    ]
+    fails += [
+        ValidationFailure(
+            "unjustified-arrow",
+            (a.tail, a.head),
+            f"exponent {a.exp} is outside the pair's reducibility set",
+        )
+        for a in g.arrows if a not in forced
+    ]
     if fails or level == "pseudo":
         return ValidationReport(level, tuple(fails))
 
     for u, w, gap in sorted((min(a.tail, a.head), max(a.tail, a.head), a.exp) for a in g.arrows):
         vu, vw = g.vertices[u], g.vertices[w]
         c = vu.color
-        lo, hi = reducibility_bounds(c, c, vu.length, vw.length, c, c)
-        if vw.color == c and gap <= hi:
+        if vw.color == c and gap <= vu.length + vw.length:
+            lo, hi = reducibility_bounds(c, c, vu.length, vw.length, c, c)
             fails.append(
                 ValidationFailure(
                     "qfact-violation",
@@ -353,11 +347,12 @@ def subgraph(g: FactGraph, ids) -> FactGraph:
     return FactGraph(g.rank, vertices, arrows)
 
 
-def _component_masks(m: BitMasks) -> Iterator[int]:
-    """The component masks by lowest bit, each the nbr closure of the lowest vertex left."""
-    rest = m.full
+def _component_masks(nbr: Sequence[int], full: int) -> Iterator[int]:
+    """The component masks of the vertices of full by lowest bit, each the
+    nbr closure of the lowest vertex left."""
+    rest = full
     while rest:
-        comp = _closure(m.nbr, rest & -rest, rest)
+        comp = _closure(nbr, rest & -rest, rest)
         rest ^= comp
         yield comp
 
@@ -365,7 +360,7 @@ def _component_masks(m: BitMasks) -> Iterator[int]:
 def connected_components(g: FactGraph) -> list[FactGraph]:
     """The components as induced subgraphs, by smallest id; one pass deals the arrows out."""
     m = g.masks
-    parts = [m.members(comp) for comp in _component_masks(m)]
+    parts = [m.members(comp) for comp in _component_masks(m.nbr, m.full)]
     owner = {v: c for c, ids in enumerate(parts) for v in ids}
     arrows: list[list[Arrow]] = [[] for _ in parts]
     for a in g.arrows:
@@ -456,7 +451,7 @@ def is_tournament(g: FactGraph) -> bool:
 
 def is_tree(g: FactGraph) -> bool:
     m = g.masks
-    return list(_component_masks(m)) == [m.full] and len(g.arrows) == len(m.ids) - 1
+    return list(_component_masks(m.nbr, m.full)) == [m.full] and len(g.arrows) == len(m.ids) - 1
 
 
 def is_line(g: FactGraph) -> bool:
@@ -526,8 +521,7 @@ def graph_tensor(g: FactGraph, h: FactGraph) -> TensorResult:
     fg = tuple(g.vertices[v] for v in g.ids())
     fh = tuple(h.vertices[v] for v in h.ids())
     product = DrinfeldPoly(g.rank, fg + fh)  # checks the colors
-    items = tuple(enumerate(fg + fh))
-    combined = _graph_from_factors(g.rank, fg + fh, _forced_arrows(g.rank, items))
+    combined = _graph_from_factors(g.rank, fg + fh, forced_pairs(g.rank, fg + fh))
     origin = ("left",) * len(fg) + ("right",) * len(fh)
     separate = Counter(q_factorize(to_polynomial(g)).factors) + Counter(
         q_factorize(to_polynomial(h)).factors

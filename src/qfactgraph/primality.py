@@ -234,8 +234,9 @@ def _dual_base(m: BitMasks, bad: list[int], left: int) -> tuple[int, int, int, i
 
 
 def _dual_classes(m: BitMasks, bad: list[int]) -> list[int]:
-    """The classes of the vertices joined by certified arrows, as masks in
-    the order of their lowest vertex, vertex 0's first.
+    """The classes of the vertices joined by certified arrows: the
+    components of the certified-arrow graph, as masks in the order of
+    their lowest vertex, vertex 0's first.
 
     An arrow t -> h is certified if it passes _arrow_passes on whole-graph
     closures: upper U = h and its ancestors bar t, lower D = t and its
@@ -253,12 +254,7 @@ def _dual_classes(m: BitMasks, bad: list[int]) -> list[int]:
         if _arrow_passes(bad, h, t, up[h] & ~(1 << t), down[t] & ~(1 << h)):
             linked[t] |= 1 << h
             linked[h] |= 1 << t
-    classes, seen = [], 0
-    for v in range(n):
-        if not seen >> v & 1:
-            classes.append(_closure(linked, 1 << v, full))
-            seen |= classes[-1]
-    return classes
+    return list(_component_masks(linked, full))
 
 
 def _dual_walk(m: BitMasks, bad: list[int]) -> bool:
@@ -372,7 +368,7 @@ def classify(g: FactGraph) -> Verdict:
     if not report.ok:
         raise NotQFactGraph(f"graph fails q-factorization validation: {report.first}")
     m = g.masks
-    components = list(_component_masks(m))
+    components = list(_component_masks(m.nbr, m.full))
     if len(components) != 1:
         # No component: the empty polynomial is the trivial module, the unit
         # of the tensor product; it is not prime and its witness is empty.
@@ -391,11 +387,10 @@ def classify(g: FactGraph) -> Verdict:
         return Verdict("Prime", certificate=cert)
     if n > _CUT_CAP:
         return Verdict("Unknown", reason="cap-exceeded")
-    lefts = m.lefts()
     if _dual_walk(m, _dual_rows(g)):
         return Verdict("Prime", certificate="DualNeighborhood")
     # The graph is connected, so an arrow crosses every cut.
-    return Verdict("Unknown", report=_CutReport(g, lefts, _report_rows(g)))
+    return Verdict("Unknown", report=_CutReport(g, m.lefts(), _report_rows(g)))
 
 
 def _check_chain(

@@ -37,7 +37,7 @@ PAST_CAP = (
 @pytest.fixture
 def window_scans(monkeypatch):
     """One entry per forced_pairs scan: DrinfeldPoly._forced reaches it
-    through lweight, and _forced_arrows through fgraph."""
+    through lweight, and FactGraph._forced and graph_tensor through fgraph."""
     scans, forced_pairs = [], lweight.forced_pairs
 
     def counting(*args):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 import oracles
@@ -131,6 +133,31 @@ def test_validate_of_a_built_graph_scans_no_window(window_scans):
         for level in ("prefact", "pseudo", "qfact"):
             validate(g, level)
         assert window_scans == []
+
+
+def test_validate_of_a_built_graph_computes_no_reducibility_set(monkeypatch, snake_graph):
+    # Graph-scale shapes: 50 four-vertex tournaments 400 apart on A_10 (200
+    # vertices in 50 components), a 20-vertex tournament and a prime snake.
+    # With no violation, validate reads the arrows as sets and each one-color
+    # arrow's gap against r + s: it builds no arrow_map and computes no
+    # reducibility set.  A violation's message names its set by its ends.
+    calls, bounds = [], fgraph.reducibility_bounds
+
+    def counting(*args):
+        calls.append(args)
+        return bounds(*args)
+
+    monkeypatch.setattr(fgraph, "reducibility_bounds", counting)
+    cluster = tournament_family(4, 10).factors
+    clusters = DrinfeldPoly(
+        DynkinA(10), tuple(replace(f, center=f.center + 400 * k) for k in range(50) for f in cluster)
+    )
+    for g in (build_graph(clusters), build_graph(tournament_family(20, 60)), snake_graph):
+        assert g.arrows and validate(g, "qfact").ok
+        assert calls == [] and "arrow_map" not in g.__dict__
+    g = build_graph(parse_poly("1:0:1 1:2:1 2:9:1 2:11:1", A2))
+    assert [f.kind for f in validate(g, "qfact").failures] == ["qfact-violation"] * 2
+    assert len(calls) == 2 and "arrow_map" not in g.__dict__
 
 
 def test_validate_of_a_hand_built_graph_scans_once(window_scans):
@@ -280,8 +307,8 @@ def test_forced_arrows_take_the_slack_from_the_colors_present(pairs_tested):
     # r + s, so no pair can be reducible.  A window of slack n - 1 covers
     # every later factor, 1,999,000 pairs; each factor's w window,
     # [w_l + 2, hi_l + 1], holds no w_k = 10k - 1, so the scan tests none.
-    items = [(k, KRFactor(1, 10 * k, 1)) for k in range(2000)]
-    assert fgraph._forced_arrows(DynkinA(10**6), items) == []
+    factors = {k: KRFactor(1, 10 * k, 1) for k in range(2000)}
+    assert FactGraph(DynkinA(10**6), factors)._forced == ()
     assert pairs_tested == []
 
 
